@@ -1,17 +1,20 @@
 """Command-line front end: CSV tables, figure data, and the check suite.
 
-Exit codes: 0 success, 1 check failure, 2 usage/configuration error.
+Exit codes: 0 success, 1 check failure, 2 usage/configuration or I/O error.
 CSV files carry a header row, comma separators, 12-significant-digit
-values, one trailing newline per row, and are written via a temp file and
-an atomic rename so partial files are never left behind.
+values, one trailing newline per row.  Every output file is written via a
+unique temp file in its directory and an atomic rename, so partial files
+are never left behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -48,13 +51,31 @@ def _fmt(value) -> str:
     return format(value, ".12g")
 
 
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Text handle on a unique temp file in the directory of `path`, renamed
+    over `path` on success; on any error the temp file is removed and `path`
+    is left as it was."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_csv(path: str, header, rows) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
+    with _atomic_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def _parse_q_list(text: str):
@@ -265,7 +286,7 @@ def _cmd_virial(args) -> int:
     print(report)
     out = _resolve(args, "out", None)
     if out:
-        with open(out, "w", newline="") as handle:
+        with _atomic_output(out) as handle:
             handle.write(report + "\n")
     return 0
 
@@ -463,10 +484,7 @@ def main(argv=None) -> int:
             _load_config_file(args.config) if getattr(args, "config", None) else {}
         )
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: e.g. unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

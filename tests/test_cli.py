@@ -1,9 +1,11 @@
 """Command-line surface: CSV schemas, exit codes, determinism, check suite."""
 
 import math
+import os
+
 import pytest
 
-from qfermi.cli import main
+from qfermi.cli import _write_csv, main
 from qfermi.thermo import q1_limit_distribution
 from qfermi import verify
 
@@ -269,3 +271,52 @@ class TestUsage:
         assert center == "0.5"
         edge = rows[0][1]  # 1/(exp(-1)+1) to 12 significant digits
         assert edge == format(1.0 / (math.exp(-1.0) + 1.0), ".12g")
+
+
+class TestOutputFiles:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        target = tmp_path / "t.csv"
+
+        def rows():
+            yield [1.0]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            _write_csv(str(target), ["x"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_old_target(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+
+        def rows():
+            yield [1.0]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            _write_csv(str(target), ["x"], rows())
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
+
+    def test_only_target_left_and_usual_mode(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["dist", "--model", "fn", "--grid", "-1:1:3", "--out", str(out)]) == 0
+        assert list(tmp_path.iterdir()) == [out]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_unwritable_out_is_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "d.csv"
+        assert main(["dist", "--model", "fn", "--grid", "-1:1:3", "--out", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_virial_out_is_atomic(self, tmp_path, capsys):
+        out = tmp_path / "virial.txt"
+        assert main(["virial", "--model", "fn", "--out", str(out)]) == 0
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == capsys.readouterr().out
+        missing = tmp_path / "missing" / "virial.txt"
+        assert main(["virial", "--model", "fn", "--out", str(missing)]) == 2
+        assert "error: " in capsys.readouterr().err

@@ -3,7 +3,8 @@
 Frozen constants were produced with 40-digit arithmetic (mpmath): the
 alternating series equals -polylog(order, -y), and the two-sum function was
 summed termwise to convergence.  The eta-function value for the undeformed
-gas at z = 1 is re-derived here by a million-term compensated sum.
+gas at z = 1 is re-derived here by a million-term compensated sum.  The
+mpmath cross-checks at the end compare against polylogarithms directly.
 """
 
 import math
@@ -177,3 +178,86 @@ def test_error_bound_soundness(order, q, scaled_z, log_tol):
         h_fine = h_gen(order, scaled_z, q, tol * 1e-3)
         assert h_coarse.error_bound <= tol
         assert abs(h_coarse.value - h_fine.value) <= h_coarse.error_bound + 1e-16
+
+
+# ---------------------------------------------------------------------------
+# mpmath cross-checks of the accelerated alternating sum
+
+
+def _f_ref(order, y):
+    return -mpmath.polylog(order, -mpmath.mpf(y))
+
+
+def _h_ref(order, z, q):
+    z, q = mpmath.mpf(z), mpmath.mpf(q)
+    s = order + 1
+    return (-mpmath.polylog(s, -q * z) - mpmath.polylog(s, z / q)) / (2 * mpmath.log(q))
+
+
+def _assert_within_bound(out, ref, tol):
+    assert math.isfinite(out.value)
+    assert out.error_bound <= tol
+    assert abs(mpmath.mpf(out.value) - ref) <= out.error_bound
+
+
+_EDGE_Y = st.one_of(
+    st.just(1.0),
+    st.floats(min_value=0.999, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    order=st.floats(min_value=0.5, max_value=3.5),
+    y=_EDGE_Y,
+    q=st.sampled_from([0.5, 1.0, 2.0]),  # powers of two: q * (y / q) <= 1 stays on the edge
+    log_tol=st.floats(min_value=-12.0, max_value=-3.0),
+)
+def test_f_matches_polylog_within_bound(order, y, q, log_tol):
+    tol = 10.0**log_tol
+    z = y / q
+    with mpmath.workdps(30):
+        _assert_within_bound(f_gen(order, q, z, tol), _f_ref(order, q * z), tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.floats(min_value=0.5, max_value=3.5),
+    q=st.floats(min_value=0.2, max_value=0.95),
+    r=st.one_of(
+        st.floats(min_value=0.999, max_value=0.9999),
+        st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+    ),
+    log_tol=st.floats(min_value=-12.0, max_value=-3.0),
+)
+def test_h_matches_two_polylogs_within_bound(order, q, r, log_tol):
+    tol = 10.0**log_tol
+    z = r * q
+    with mpmath.workdps(30):
+        _assert_within_bound(h_gen(order, z, q, tol), _h_ref(order, z, q), tol)
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3])
+def test_unit_argument_grid(order, tol):
+    out = standard_fd(order, 1.0, tol)
+    with mpmath.workdps(30):
+        _assert_within_bound(out, _f_ref(order, 1.0), tol)
+    assert out.terms_used <= 25  # about 20 terms even at the convergence edge
+
+
+def test_order_one_half_at_unit_argument():
+    # the slowest-converging alternating case: y = 1 at the lowest order
+    out = standard_fd(0.5, 1.0, 1e-12)
+    eta_half = (1 - mpmath.sqrt(2)) * mpmath.zeta(0.5)
+    assert math.isfinite(out.value)
+    assert abs(mpmath.mpf(out.value) - eta_half) <= out.error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, 2.5])
+def test_tolerance_below_rounding_floor_raises(order):
+    with pytest.raises(SeriesConvergenceError, match="below evaluable precision"):
+        f_gen(order, 1.0, 1.0, 1e-17)
+    with pytest.raises(SeriesConvergenceError, match="below evaluable precision"):
+        standard_fd(order, 0.5, 1e-300)
