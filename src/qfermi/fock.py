@@ -18,6 +18,15 @@ amplitude q**((N-1)/2); creation is the transpose, i.e. it carries
 q**(N/2) onto a state of occupation N.  The convention is not claimed to be
 canonical -- `check_algebra` audits every defining relation against it.
 
+Storage: every annihilator sends each basis state to at most one basis
+state, so it is kept as two index-aligned arrays, the target basis index
+of each state and the amplitude (0 where the state is annihilated).  For
+FN the targets are bit flips of the state index.  Products of such
+operators stay in this form, so `check_algebra` evaluates the FN relations
+in O(d**2 2**d) time and memory; the dense matrices `annihilators`,
+`creators` and `number_op` are scattered from the arrays only when read,
+once per set.
+
 Truncation policy: on a truncated single-mode ladder the relation involving
 c c* cannot hold on the top state, so that relation is evaluated only on
 input states n <= dim - 2 and the evaluated boundary is reported.  The CKN
@@ -28,6 +37,10 @@ CKN rescaling: the weighted operator f = q**(N/2) c (weight applied after
 annihilation) satisfies the undeformed relations f f* + f* f = 1 and
 f**2 = 0 on the two-state space, which exhibits the isomorphism between the
 q-deformed two-level algebra and an ordinary fermion mode.
+
+Overflow: a builder whose spectrum or amplitude overflows a double raises
+ValueError naming the level, and a relation residual that is not finite is
+reported as infinite, so it never passes a bound.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,30 +57,53 @@ from .spectra import basic_number
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
-MAX_FN_MODES = 12  # 2**12 basis states; dense matrices stay manageable
+# 2**12 basis states: the relation check works on (d, 2**d) index and
+# amplitude arrays; only the on-demand dense matrices grow as d 4**d
+MAX_FN_MODES = 12
 
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Dense matrices for the ladder operators of one representation.
+    """Ladder operators of one representation.
 
+    Annihilator i maps basis state k to `amplitudes[i, k]` times basis state
+    `targets[i, k]`; where the amplitude is 0 the target is immaterial.
+    `occupation` is the (total) occupation of each basis state, not the
+    deformed one.  The dense read-only matrices are built on first access:
     `annihilators` holds one matrix per mode (a single entry for the
-    one-mode families); `creators` are their exact transposes.  `number_op`
-    is the diagonal (total) occupation counter, not the deformed one.
+    one-mode families), `creators` are their exact transposes and
+    `number_op` is the diagonal occupation counter.
     """
 
     model: Model
     q: float
     dim: int
-    annihilators: tuple
-    creators: tuple
-    number_op: np.ndarray
+    targets: np.ndarray
+    amplitudes: np.ndarray
+    occupation: np.ndarray
     basis_labels: tuple
     norm_violations: tuple = ()
 
     @property
     def n_modes(self) -> int:
-        return len(self.annihilators)
+        return len(self.targets)
+
+    @cached_property
+    def annihilators(self) -> tuple:
+        return self._scatter(self.targets, np.arange(self.dim))
+
+    @cached_property
+    def creators(self) -> tuple:
+        return self._scatter(np.arange(self.dim), self.targets)
+
+    @cached_property
+    def number_op(self) -> np.ndarray:
+        return _freeze(np.diag(self.occupation))
+
+    def _scatter(self, rows, cols) -> tuple:
+        dense = np.zeros((self.n_modes, self.dim, self.dim))
+        dense[np.arange(self.n_modes)[:, None], rows, cols] = self.amplitudes
+        return tuple(_freeze(dense))
 
     @property
     def annihilator(self) -> np.ndarray:
@@ -100,7 +137,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _maxabs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    """Largest |entry|; a NaN entry counts as infinite, so it fails every bound."""
+    if not m.size:
+        return 0.0
+    worst = float(np.max(np.abs(m)))
+    return math.inf if math.isnan(worst) else worst
+
+
+def _finite_levels(value, count: int, what: str) -> list:
+    """[value(0), ..., value(count - 1)]; ValueError at the first level that
+    overflows a double (Python floats raise OverflowError or give inf)."""
+    levels = []
+    for n in range(count):
+        try:
+            level = value(n)
+        except OverflowError:
+            level = math.inf
+        if not math.isfinite(level):
+            raise ValueError(what.format(n=n) + " overflows a double")
+        levels.append(level)
+    return levels
 
 
 def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
@@ -114,75 +170,76 @@ def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
     if model is Model.CKN and dim != 2:
         raise ValueError("the CKN Fock space has exactly two states (dim = 2)")
 
-    g = [basic_number(model, n, q) for n in range(dim)]
+    g = _finite_levels(
+        lambda n: basic_number(model, n, q), dim,
+        f"{model.value} spectrum at q = {q}: level {{n}}",
+    )
     violations = tuple((n, g[n]) for n in range(dim) if g[n] < 0.0)
-    c = np.zeros((dim, dim))
-    for n in range(1, dim):
-        if g[n] >= 0.0:
-            c[n - 1, n] = math.sqrt(g[n])
-    cdag = c.T.copy()
-    number_op = np.diag(np.arange(dim, dtype=float))
+    amplitudes = [0.0] + [math.sqrt(gn) if gn >= 0.0 else 0.0 for gn in g[1:]]
+    levels = np.arange(dim)
     return OperatorSet(
         model=model,
         q=float(q),
         dim=dim,
-        annihilators=(_freeze(c),),
-        creators=(_freeze(cdag),),
-        number_op=_freeze(number_op),
+        targets=_freeze(np.maximum(levels - 1, 0)[None, :]),
+        amplitudes=_freeze(np.array([amplitudes])),
+        occupation=_freeze(levels.astype(float)),
         basis_labels=tuple(range(dim)),
         norm_violations=violations,
     )
 
 
 def build_fn_multimode(d: int, q: float) -> OperatorSet:
-    """FN representation on the 2**d occupation basis |n_1 ... n_d>, n_i in {0,1}."""
+    """FN representation on the 2**d occupation basis |n_1 ... n_d>, n_i in {0,1}.
+
+    Basis state k carries n_i in bit d - 1 - i of k, so the states run in
+    the order of `itertools.product((0, 1), repeat=d)`.
+    """
     require_positive_q(q)
     if d != int(d) or not 1 <= d <= MAX_FN_MODES:
         raise ValueError(f"mode count must lie in 1..{MAX_FN_MODES}, got {d!r}")
     d = int(d)
-    states = list(itertools.product((0, 1), repeat=d))
-    index = {s: k for k, s in enumerate(states)}
-    dim = len(states)
-
-    annihilators = []
-    for i in range(d):
-        c = np.zeros((dim, dim))
-        for k, s in enumerate(states):
-            if s[i] == 0:
-                continue
-            total = sum(s)
-            sign = -1.0 if sum(s[:i]) % 2 else 1.0
-            target = list(s)
-            target[i] = 0
-            c[index[tuple(target)], k] = sign * q ** ((total - 1) / 2.0)
-        annihilators.append(_freeze(c))
-    creators = tuple(_freeze(c.T.copy()) for c in annihilators)
-    number_op = np.diag(np.array([float(sum(s)) for s in states]))
+    # Python's pow, not numpy's: the two differ in the last bit for some q
+    amplitude_of = np.array(_finite_levels(
+        lambda n: q ** ((n - 1) / 2.0), d + 1,
+        f"FN amplitude q**((N-1)/2) at q = {q}: total occupation N = {{n}}",
+    ))
+    states = np.arange(2**d)
+    bits = np.arange(d - 1, -1, -1)[:, None]
+    occupied = (states >> bits) & 1
+    total = occupied.sum(axis=0)
+    sign = 1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1)
     return OperatorSet(
         model=Model.FN,
         q=float(q),
-        dim=dim,
-        annihilators=tuple(annihilators),
-        creators=creators,
-        number_op=_freeze(number_op),
-        basis_labels=tuple(states),
+        dim=2**d,
+        targets=_freeze(states ^ (1 << bits)),
+        amplitudes=_freeze(np.where(occupied == 1, sign * amplitude_of[total], 0.0)),
+        occupation=_freeze(total.astype(float)),
+        basis_labels=tuple(itertools.product((0, 1), repeat=d)),
         norm_violations=(),
     )
 
 
 def spectrum_of_number_operator(ops: OperatorSet) -> np.ndarray:
-    """Diagonal of c*c (single mode) or of the summed c_i* c_i (multimode)."""
-    total = np.zeros((ops.dim, ops.dim))
-    for c, cdag in zip(ops.annihilators, ops.creators):
-        total += cdag @ c
-    return np.diag(total).copy()
+    """Diagonal of c*c (single mode) or of the summed c_i* c_i (multimode).
+
+    (c_i* c_i)_kk is the square of the amplitude of c_i on state k; the sum
+    runs in mode order, as the dense sum of the products would.
+    """
+    total = np.zeros(ops.dim)
+    for amplitude in ops.amplitudes:
+        total += amplitude * amplitude
+    return total
 
 
 def _scaled(residual: float, *terms) -> float:
     """Residual divided by the largest term magnitude entering the relation,
     floored at 1.  Order-unity spectra keep absolute semantics; the growing
-    PVC/CKN spectra (entries up to q**-(dim-1)) are judged at their own scale."""
-    return residual / max(1.0, *(_maxabs(t) for t in terms))
+    PVC/CKN spectra (entries up to q**-(dim-1)) are judged at their own scale.
+    An overflowed term makes the residual infinite, never 0."""
+    scale = max(1.0, *(_maxabs(t) for t in terms))
+    return residual / scale if math.isfinite(scale) else math.inf
 
 
 def check_algebra(ops: OperatorSet) -> AlgebraReport:
@@ -194,11 +251,8 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     relations with the number operator hold on the full space.
     """
     if ops.model is Model.FN:
-        residuals = _fn_relation_residuals(
-            ops.annihilators, ops.creators, ops.q, np.diag(ops.number_op)
-        )
-        boundary = ops.dim - 1
-        return AlgebraReport(residuals, ops.norm_violations, boundary)
+        residuals = _fn_monomial_residuals(ops)
+        return AlgebraReport(residuals, ops.norm_violations, ops.dim - 1)
 
     c = ops.annihilator
     cdag = ops.creator
@@ -239,28 +293,95 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     return AlgebraReport(residuals, ops.norm_violations, cols - 1)
 
 
+def _compose(a, b):
+    """Product a @ b of operators given as (targets, amplitudes) pairs."""
+    rows_a, vals_a = a
+    rows_b, vals_b = b
+    return rows_a[rows_b], vals_a[rows_b] * vals_b
+
+
+def _maxabs_sum(*terms) -> float:
+    """Max |entry| of a sum of (targets, amplitudes) operators.
+
+    In each column the terms that share a target row are added in term
+    order, as the dense sum adds them (adding 0 is exact); a term whose row
+    no other term shares is an entry of its own.
+    """
+    worst = 0.0
+    for rows, _ in terms:
+        entry = sum(np.where(other == rows, vals, 0.0) for other, vals in terms)
+        worst = max(worst, _maxabs(entry))
+    return worst
+
+
+def _fn_monomial_residuals(ops: OperatorSet) -> dict:
+    """`_fn_relation_residuals` on the (targets, amplitudes) arrays of `ops`.
+
+    Every product, sum and scale is the one the dense evaluation makes, and
+    each dense matrix entry it reads is a single rounded product, so the
+    residuals are the same floats, in O(d**2 2**d) operations.
+    """
+    q = ops.q
+    number = ops.occupation
+    q_pow = q**number
+    cs = list(zip(ops.targets, ops.amplitudes))
+    # each target map is a bit flip, an involution, so c_i* = (t, a[t])
+    cdags = [(rows, vals[rows]) for rows, vals in cs]
+    minus_q_pow = (np.arange(ops.dim), -q_pow)
+    worst_cross = 0.0
+    worst_pair = 0.0
+    for i, ci in enumerate(cs):
+        for j, (cj, cdj) in enumerate(zip(cs, cdags)):
+            lower = _compose(ci, cdj)
+            rows, vals = _compose(cdj, ci)
+            upper = (rows, q * vals)
+            terms = (lower, upper, minus_q_pow) if i == j else (lower, upper)
+            worst_cross = max(
+                worst_cross, _scaled(_maxabs_sum(*terms), lower[1], upper[1], q_pow)
+            )
+            pair = _compose(ci, cj)
+            worst_pair = max(
+                worst_pair, _scaled(_maxabs_sum(pair, _compose(cj, ci)), pair[1])
+            )
+    worst_shift = 0.0
+    for rows, vals in cs:
+        right = vals * number
+        left = -((number[rows] + 1.0) * vals)
+        worst_shift = max(
+            worst_shift, _scaled(_maxabs_sum((rows, right), (rows, left)), right, vals)
+        )
+    return {
+        "deformed_anticommutation": worst_cross,
+        "double_annihilation": worst_pair,
+        "number_shift": worst_shift,
+    }
+
+
 def _fn_relation_residuals(cs, cdags, q, number_diag) -> dict:
+    """FN relation residuals of dense mode operators `cs` with adjoints `cdags`."""
     dim = cs[0].shape[0]
     q_pow = np.diag(q**number_diag)
     n_op = np.diag(number_diag)
-    eye = np.eye(dim)
+    shifted = n_op + np.eye(dim)
     worst_cross = 0.0
     worst_pair = 0.0
     for i, ci in enumerate(cs):
         for j, cdj in enumerate(cdags):
-            rel = ci @ cdj + q * (cdj @ ci)
+            lower = ci @ cdj
+            upper = q * (cdj @ ci)
+            rel = lower + upper
             if i == j:
                 rel = rel - q_pow
-            worst_cross = max(
-                worst_cross, _scaled(_maxabs(rel), ci @ cdj, q * (cdj @ ci), q_pow)
-            )
+            worst_cross = max(worst_cross, _scaled(_maxabs(rel), lower, upper, q_pow))
             cj = cs[j]
-            worst_pair = max(
-                worst_pair, _scaled(_maxabs(ci @ cj + cj @ ci), ci @ cj)
-            )
-    worst_shift = max(
-        _scaled(_maxabs(cj @ n_op - (n_op + eye) @ cj), cj @ n_op, cj) for cj in cs
-    )
+            pair = ci @ cj
+            worst_pair = max(worst_pair, _scaled(_maxabs(pair + cj @ ci), pair))
+    worst_shift = 0.0
+    for cj in cs:
+        right = cj @ n_op
+        worst_shift = max(
+            worst_shift, _scaled(_maxabs(right - shifted @ cj), right, cj)
+        )
     return {
         "deformed_anticommutation": worst_cross,
         "double_annihilation": worst_pair,

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfermi import SeriesConvergenceError, f_gen, h_gen, standard_fd
-from qfermi.fdseries import _CHUNK, _PAIRWISE_DEPTH
+from qfermi.fdseries import _CHUNK, _MAX_TERMS, _PAIRWISE_DEPTH, _PositiveSum, _cutoff
 
 # -Li_{5/2}(-0.1), 40-digit evaluation
 F_52_AT_POINT_ONE = 0.09829342634208691272342299024886014558
@@ -312,3 +312,52 @@ def test_tolerance_below_rounding_floor_raises(order):
         h_gen(order, 0.45, 0.5, 1e-17)
     with pytest.raises(SeriesConvergenceError, match="below evaluable precision"):
         h_gen(order, 0.1, 0.9, 5e-324)  # the budget 2 |ln q| tol underflows to 0
+
+
+def _doubling_cutoff(bound, tol, start):
+    """The cutoff search this module used before the estimate: double from
+    `start`, then bisect; the reference for `_cutoff`."""
+    if bound(start) <= tol:
+        return start
+    lo, hi = start, 2 * start
+    while bound(hi) > tol:
+        lo, hi = hi, 2 * hi
+        if hi > _MAX_TERMS:
+            raise SeriesConvergenceError("doubling passed the term cap")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("r", [1e-200, 1e-9, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-7, 1 - 2**-52])
+@pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
+def test_cutoff_matches_doubling_search(r, order):
+    series = _PositiveSum(r, order + 1.0)
+    for tol in (1e-300, 1e-15, 1e-10, 1e-6, 1e-2, 10.0):
+        for start in (1, 7, 100, 5000):
+            try:
+                got = _cutoff(series, tol, start)
+            except SeriesConvergenceError:
+                got = None
+                assert series.tail(_MAX_TERMS) > tol
+            try:
+                expected = _doubling_cutoff(series.tail, tol, start)
+            except SeriesConvergenceError:
+                # doubling gives up at its last point below _MAX_TERMS, which
+                # lies above _MAX_TERMS / 2; _cutoff goes on to _MAX_TERMS
+                if got is not None:
+                    assert got > _MAX_TERMS // 2
+                    assert series.tail(got) <= tol < series.tail(got - 1)
+                continue
+            assert got == expected, (tol, start)
+
+
+def test_cutoff_term_cap():
+    series = _PositiveSum(1 - 1e-7, 1.5)
+    assert _cutoff(series, series.tail(18_000_000), 1) == 18_000_000
+    with pytest.raises(SeriesConvergenceError):
+        _cutoff(series, series.tail(_MAX_TERMS + 1), 1)

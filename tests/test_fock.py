@@ -1,6 +1,8 @@
 """Matrix representations: construction, relation residuals, audits."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qfermi import (
     basic_number,
     spectrum_of_number_operator,
 )
+from qfermi.fock import _fn_relation_residuals, _maxabs_sum
 
 SINGLE_MODE_CASES = [
     (Model.VPJC, 0.3, 40),
@@ -160,6 +163,10 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance_check(2, 0.5, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    def test_rejects_nan_transform(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            covariance_check(2, 0.5, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             covariance_check(3, 0.5, np.eye(2))
@@ -238,3 +245,114 @@ def test_fn_basis_labels_are_bit_tuples():
     ops = build_fn_multimode(2, 0.5)
     assert ops.basis_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
     np.testing.assert_array_equal(np.diag(ops.number_op), [0.0, 1.0, 1.0, 2.0])
+
+
+def _dense_fn_annihilators(d, q):
+    """The FN annihilators built state by state, as dense matrices."""
+    states = list(itertools.product((0, 1), repeat=d))
+    index = {s: k for k, s in enumerate(states)}
+    annihilators = []
+    for i in range(d):
+        c = np.zeros((len(states), len(states)))
+        for k, s in enumerate(states):
+            if s[i] == 0:
+                continue
+            sign = -1.0 if sum(s[:i]) % 2 else 1.0
+            target = list(s)
+            target[i] = 0
+            c[index[tuple(target)], k] = sign * q ** ((sum(s) - 1) / 2.0)
+        annihilators.append(c)
+    return annihilators, np.diag([float(sum(s)) for s in states])
+
+
+FN_EXACT_QS = [0.3, 0.83, 1.0, 1.4, 2.5]
+
+
+class TestFnPermutationArrays:
+    """The FN set is stored as (target, amplitude) arrays; every result read
+    from them must equal the dense evaluation bit for bit."""
+
+    @pytest.mark.parametrize("q", FN_EXACT_QS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_residuals_equal_dense_evaluation(self, d, q):
+        ops = build_fn_multimode(d, q)
+        dense = _fn_relation_residuals(
+            ops.annihilators, ops.creators, q, np.diag(ops.number_op)
+        )
+        assert check_algebra(ops).relation_residuals == dense
+
+    @pytest.mark.parametrize("q", FN_EXACT_QS)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_dense_matrices_equal_state_loop(self, d, q):
+        ops = build_fn_multimode(d, q)
+        annihilators, number_op = _dense_fn_annihilators(d, q)
+        assert len(ops.annihilators) == len(ops.creators) == d
+        for c, cdag, ref in zip(ops.annihilators, ops.creators, annihilators):
+            assert np.array_equal(c, ref)
+            assert np.array_equal(cdag, ref.T)
+            assert not c.flags.writeable and not cdag.flags.writeable
+        assert np.array_equal(ops.number_op, number_op)
+        assert not ops.number_op.flags.writeable
+        assert ops.annihilators is ops.annihilators  # built once per set
+
+    @pytest.mark.parametrize("q", FN_EXACT_QS)
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_spectrum_equals_dense_sum(self, d, q):
+        ops = build_fn_multimode(d, q)
+        total = np.zeros((ops.dim, ops.dim))
+        for c, cdag in zip(ops.annihilators, ops.creators):
+            total += cdag @ c
+        assert np.array_equal(spectrum_of_number_operator(ops), np.diag(total))
+
+    def test_sum_adds_only_entries_that_share_a_row(self):
+        rows_a, vals_a = np.array([1, 0, 3, 2]), np.array([0.5, -2.0, 0.25, 1.0])
+        rows_b, vals_b = np.array([1, 2, 3, 0]), np.array([0.75, 1.5, -0.25, 3.0])
+        cols = np.arange(4)
+        dense = np.zeros((4, 4))
+        dense[rows_a, cols] += vals_a
+        dense[rows_b, cols] += vals_b
+        got = _maxabs_sum((rows_a, vals_a), (rows_b, vals_b))
+        assert got == np.max(np.abs(dense)) == 3.0
+
+    @pytest.mark.parametrize("model,q,dim", SINGLE_MODE_CASES)
+    def test_single_mode_spectrum_equals_dense_product(self, model, q, dim):
+        ops = build_single_mode(model, q, dim)
+        dense = np.diag(ops.creator @ ops.annihilator)
+        assert np.array_equal(spectrum_of_number_operator(ops), dense)
+
+    @pytest.mark.parametrize("q", [0.5, 1.4])
+    def test_twelve_modes_without_dense_matrices(self, q):
+        tracemalloc.start()
+        try:
+            ops = build_fn_multimode(12, q)
+            report = check_algebra(ops)
+            diag = spectrum_of_number_operator(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_residual <= 1e-12, report.relation_residuals
+        assert peak < 64 * 2**20
+        assert not {"annihilators", "creators", "number_op"} & set(vars(ops))
+        assert diag[-1] == pytest.approx(fn_spectrum(12, q), rel=1e-13)
+
+
+class TestOverflow:
+    def test_fn_amplitude_overflow_names_occupation(self):
+        with pytest.raises(ValueError, match="N = 5 overflows"):
+            build_fn_multimode(9, 1e200)
+
+    def test_single_mode_spectrum_overflow_names_level(self):
+        with pytest.raises(ValueError, match="level 590 overflows"):
+            build_single_mode(Model.PVC, 0.3, 700)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("d,q", [(3, 1e150), (5, 1e100)])
+    def test_overflowed_relation_never_passes(self, d, q):
+        ops = build_fn_multimode(d, q)
+        report = check_algebra(ops)
+        assert report.max_residual == math.inf, report.relation_residuals
+        dense = _fn_relation_residuals(
+            ops.annihilators, ops.creators, q, np.diag(ops.number_op)
+        )
+        assert dense == report.relation_residuals
