@@ -21,20 +21,6 @@ import numpy as np
 from . import thermo, verify
 from .models import Model, SeriesConvergenceError, SingularPointError
 from .spectra import basic_number
-from .thermo import (
-    ckn_distribution,
-    ckn_eos,
-    ckn_mu_lowT,
-    ckn_mu_numeric,
-    fn_distribution,
-    fn_eos,
-    fn_mu_lowT,
-    fn_mu_numeric,
-    pvc_distribution,
-    pvc_eos,
-    q1_limit_distribution,
-    vpjc_distribution,
-)
 
 _SINGULAR_OFFSET = 1e-9
 
@@ -108,16 +94,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid needs at least 2 points, got {count}")
     if not start < stop:
         raise ConfigError(f"grid start must be below stop, got {text!r}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"grid bounds must be finite, got {text!r}")
-    return np.linspace(start, stop, count)
-
-
-def _parse_model(text: str) -> Model:
-    try:
-        return Model.from_name(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with np.errstate(all="ignore"):
+        grid = np.linspace(start, stop, count)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"grid points must be finite, got {text!r}")
+    return grid
 
 
 def _load_config_file(path: str) -> dict:
@@ -147,41 +128,45 @@ def _resolve(args, key: str, fallback):
     return fallback
 
 
-# ---------------------------------------------------------------------------
-# mapping helpers
-
-
-def _singular_abscissae(model: Model, q: float):
-    if q == 1.0:
-        return ()
-    if model is Model.VPJC:
-        return (0.0,)
-    if model is Model.PVC:
-        return (math.log(1.0 / q),)
-    return ()
-
-
-def _nudge_grid(grid: np.ndarray, singular_points) -> np.ndarray:
-    out = grid.copy()
-    for s in singular_points:
-        mask = np.abs(out - s) < _SINGULAR_OFFSET
-        out[mask] = s + _SINGULAR_OFFSET
-    return out
-
-
-def _distribution_column(model: Model, q: float):
-    if model in (Model.VPJC, Model.PVC) and q == 1.0:
-        return "n_q1_limit", lambda eta: q1_limit_distribution(eta)
-    label = f"n_q{q:g}"
-    if model is Model.FN:
-        return label, lambda eta: fn_distribution(eta, q)
-    if model is Model.CKN:
-        return label, lambda eta: ckn_distribution(eta, q)
-    if model is Model.PVC:
-        return label, lambda eta: pvc_distribution(eta, q)
-    if model is Model.VPJC:
-        return label, lambda eta: vpjc_distribution(eta, q)
-    raise ConfigError(f"no distribution for model {model.value}")
+def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> None:
+    """CSV of the `model` distribution at eta = x - xi: one row per point x
+    of `grid`, one column per q.  Points within 1e-9 of a singular abscissa
+    move 1e-9 above it; a cell still singular is left empty.  A note on
+    stderr counts the moved points and the empty cells, if any."""
+    record = thermo.MODELS[model]
+    header, columns, singular = [abscissa], [], []
+    for q in q_list:
+        if q == 1.0 and record.q1_limit is not None:
+            header.append("n_q1_limit")
+            columns.append(record.q1_limit)
+        else:
+            header.append(f"n_q{q:g}")
+            columns.append(lambda eta, q=q, n=record.distribution: n(eta, q))
+            singular += [s + xi for s in record.singular(q)]
+    nudged = grid.copy()
+    for s in singular:
+        nudged[np.abs(nudged - s) < _SINGULAR_OFFSET] = s + _SINGULAR_OFFSET
+    empty = 0
+    rows = []
+    for x in nudged:
+        x = float(x)
+        eta = x - xi
+        row = [x]
+        for func in columns:
+            try:
+                row.append(func(eta))
+            except SingularPointError:
+                row.append(None)
+                empty += 1
+        rows.append(row)
+    _write_csv(path, header, rows)
+    moved = int(np.count_nonzero(nudged != grid))
+    if moved or empty:
+        print(
+            f"note: {model.value}: {moved} grid point(s) moved 1e-9 off a singular "
+            f"point, {empty} cell(s) left empty",
+            file=sys.stderr,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +174,21 @@ def _distribution_column(model: Model, q: float):
 
 
 def _cmd_dist(args) -> int:
-    model = _parse_model(_resolve(args, "model", "vpjc"))
-    if model is Model.ARIK_COON:
+    model = Model.from_name(_resolve(args, "model", "vpjc"))
+    if thermo.MODELS[model].distribution is None:
         raise ConfigError("dist applies to the fermionic models")
     q_list = _parse_q_list(_resolve(args, "q", "0.5"))
     grid = _parse_grid(_resolve(args, "grid", "-5:5:201"))
     out = _resolve(args, "out", f"dist_{model.value}.csv")
-    singular = [s for q in q_list for s in _singular_abscissae(model, q)]
-    grid = _nudge_grid(grid, singular)
-    columns = [_distribution_column(model, q) for q in q_list]
-    rows = []
-    for eta in grid:
-        row = [float(eta)]
-        for _, func in columns:
-            try:
-                row.append(func(float(eta)))
-            except SingularPointError:
-                row.append(None)
-        rows.append(row)
-    _write_csv(out, ["eta"] + [label for label, _ in columns], rows)
+    _write_distribution(out, model, q_list, grid)
     return 0
 
 
-def _eos_point(model: Model, q: float, z: float, g_mult: float, tol: float):
-    if model is Model.FN:
-        return fn_eos(q, z, tol)
-    if model is Model.CKN:
-        return ckn_eos(q, z, tol)
-    if model is Model.PVC:
-        return pvc_eos(q, z, g_mult, tol)
-    raise ConfigError("eos applies to the fn, ckn and pvc models")
-
-
 def _cmd_eos(args) -> int:
-    model = _parse_model(_resolve(args, "model", "fn"))
+    model = Model.from_name(_resolve(args, "model", "fn"))
+    eos = thermo.MODELS[model].eos
+    if eos is None:
+        raise ConfigError("eos applies to the fn, ckn and pvc models")
     q_list = _parse_q_list(_resolve(args, "q", "0.5"))
     grid = _parse_grid(_resolve(args, "grid", "0.05:0.9:18"))
     tol = float(_resolve(args, "tol", 1e-10))
@@ -238,7 +204,7 @@ def _cmd_eos(args) -> int:
         skipped = 0
         for z in grid:
             try:
-                point = _eos_point(model, q, float(z), g_mult, tol)
+                point = eos(q, float(z), g_mult, tol)
                 rows.append(
                     [float(z), point.pressure, point.density, point.energy_density, point.entropy]
                 )
@@ -260,15 +226,12 @@ def _cmd_eos(args) -> int:
 
 
 def _cmd_virial(args) -> int:
-    model = _parse_model(_resolve(args, "model", "fn"))
-    if model not in (Model.FN, Model.CKN):
+    model = Model.from_name(_resolve(args, "model", "fn"))
+    if thermo.MODELS[model].fn_q is None:
         raise ConfigError("virial applies to the fn and ckn models")
     q_list = _parse_q_list(_resolve(args, "q", "0.3,0.5,0.9,1.5"))
     orders = int(_resolve(args, "orders", 3))
-    try:
-        fitted = {q: thermo.virial_coefficients(model, q, orders) for q in q_list}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fitted = {q: thermo.virial_coefficients(model, q, orders) for q in q_list}
     targets = {2: 2.0**-2.5, 3: 0.125 - 2.0 * 3.0**-2.5}
     lines = [f"virial coefficients, model={model.value}, orders={orders}"]
     for q, coeffs in fitted.items():
@@ -292,14 +255,13 @@ def _cmd_virial(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    model = _parse_model(_resolve(args, "model", "fn"))
-    if model not in (Model.FN, Model.CKN):
+    model = Model.from_name(_resolve(args, "model", "fn"))
+    if thermo.MODELS[model].mu is None:
         raise ConfigError("mu applies to the fn and ckn models")
+    closed, numeric = thermo.MODELS[model].mu
     q_list = _parse_q_list(_resolve(args, "q", "0.5,1,2"))
     grid = _parse_grid(_resolve(args, "grid", "0.01:0.2:20"))
     out = _resolve(args, "out", f"mu_{model.value}.csv")
-    closed = fn_mu_lowT if model is Model.FN else ckn_mu_lowT
-    numeric = fn_mu_numeric if model is Model.FN else ckn_mu_numeric
     header = ["t"]
     for q in q_list:
         header += [f"mu_closed_q{q:g}", f"mu_numeric_q{q:g}"]
@@ -307,17 +269,14 @@ def _cmd_mu(args) -> int:
     for t in grid:
         row = [float(t)]
         for q in q_list:
-            try:
-                row += [closed(float(t), q), numeric(float(t), q)]
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            row += [closed(float(t), q), numeric(float(t), q)]
         rows.append(row)
     _write_csv(out, header, rows)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    model = _parse_model(_resolve(args, "model", "vpjc"))
+    model = Model.from_name(_resolve(args, "model", "vpjc"))
     q_list = _parse_q_list(_resolve(args, "q", "0.5"))
     nmax = int(_resolve(args, "nmax", 20))
     if nmax < 1:
@@ -339,48 +298,33 @@ def _cmd_check(args) -> int:
         groups = [group]
     seed = int(_resolve(args, "seed", 0))
     vpjc_q = float(_resolve(args, "vpjc_q", 0.5))
-    try:
-        results = verify.run_checks(
-            groups, seed=seed, vpjc_q=vpjc_q, strict_norms=bool(args.strict)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = verify.run_checks(
+        groups, seed=seed, vpjc_q=vpjc_q, strict_norms=bool(args.strict)
+    )
     for result in results:
         status = "PASS" if result.ok else "FAIL"
         print(f"GROUP {result.name}: {status} ({result.detail})")
     return 0 if all(r.ok for r in results) else 1
 
 
-_FIG1_QS = (0.5, 0.7, 0.9, 1.0)
-_FIG2_QS = (1.0 / 3.0, 0.5)
+# name -> (model, q values, grid, first column): fixed-flag `dist` tables,
+# fig1 at eta = x - xi
+_FIGURES = {
+    "fig1": (Model.CKN, (0.5, 0.7, 0.9, 1.0), (0.0, 6.0, 121), "x"),
+    "fig2": (Model.VPJC, (1.0 / 3.0, 0.5, 1.0), (-3.0, 5.0, 161), "eta"),
+}
 
 
 def _cmd_figure(args) -> int:
-    name = args.name
-    if name == "fig1":
-        xi = float(_resolve(args, "xi", 2.0))
-        out = _resolve(args, "out", "fig1.csv")
-        grid = np.linspace(0.0, 6.0, 121)
-        header = ["x"] + [f"n_q{q:g}" for q in _FIG1_QS]
-        rows = [
-            [float(x)] + [ckn_distribution(float(x) - xi, q) for q in _FIG1_QS]
-            for x in grid
-        ]
-        _write_csv(out, header, rows)
-        return 0
-    if name == "fig2":
-        out = _resolve(args, "out", "fig2.csv")
-        grid = _nudge_grid(np.linspace(-3.0, 5.0, 161), (0.0,))
-        header = ["eta"] + [f"n_q{q:g}" for q in _FIG2_QS] + ["n_q1_limit"]
-        rows = []
-        for eta in grid:
-            row = [float(eta)]
-            row += [vpjc_distribution(float(eta), q) for q in _FIG2_QS]
-            row.append(q1_limit_distribution(float(eta)))
-            rows.append(row)
-        _write_csv(out, header, rows)
-        return 0
-    raise ConfigError(f"unknown figure {name!r}; available: fig1, fig2")
+    if args.name not in _FIGURES:
+        raise ConfigError(f"unknown figure {args.name!r}; available: fig1, fig2")
+    model, q_list, grid, abscissa = _FIGURES[args.name]
+    xi = float(_resolve(args, "xi", 2.0)) if args.name == "fig1" else 0.0
+    if not math.isfinite(xi):
+        raise ConfigError(f"--xi must be finite, got {xi}")
+    out = _resolve(args, "out", f"{args.name}.csv")
+    _write_distribution(out, model, q_list, np.linspace(*grid), xi, abscissa)
+    return 0
 
 
 # ---------------------------------------------------------------------------

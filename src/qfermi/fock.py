@@ -38,9 +38,10 @@ annihilation) satisfies the undeformed relations f f* + f* f = 1 and
 f**2 = 0 on the two-state space, which exhibits the isomorphism between the
 q-deformed two-level algebra and an ordinary fermion mode.
 
-Overflow: a builder whose spectrum or amplitude overflows a double raises
-ValueError naming the level, and a relation residual that is not finite is
-reported as infinite, so it never passes a bound.
+Overflow: a builder whose spectrum or amplitude overflows a double, or
+whose nonzero FN amplitude underflows to 0, raises ValueError naming the
+level, and a relation residual that is not finite is reported as
+infinite, so it never passes a bound.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .models import Model, NonNormalizableStateError, require_positive_q
-from .spectra import basic_number
+from .spectra import basic_number, spectrum
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
@@ -144,19 +145,23 @@ def _maxabs(m: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
-def _finite_levels(value, count: int, what: str) -> list:
-    """[value(0), ..., value(count - 1)]; ValueError at the first level that
-    overflows a double (Python floats raise OverflowError or give inf)."""
-    levels = []
-    for n in range(count):
+def _fn_amplitudes(q: float, d: int) -> np.ndarray:
+    """q**((N-1)/2) for N = 0..d with Python's pow, not numpy's (the two
+    differ in the last bit for some q); ValueError naming the first N whose
+    amplitude overflows a double or, nonzero, underflows to 0."""
+    amplitudes = []
+    for n in range(d + 1):
         try:
-            level = value(n)
+            amplitude = q ** ((n - 1) / 2.0)
         except OverflowError:
-            level = math.inf
-        if not math.isfinite(level):
-            raise ValueError(what.format(n=n) + " overflows a double")
-        levels.append(level)
-    return levels
+            amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            fault = "underflows to 0" if amplitude == 0.0 else "overflows a double"
+            raise ValueError(
+                f"FN amplitude q**((N-1)/2) at q = {q}: total occupation N = {n} {fault}"
+            )
+        amplitudes.append(amplitude)
+    return np.array(amplitudes)
 
 
 def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
@@ -170,10 +175,7 @@ def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
     if model is Model.CKN and dim != 2:
         raise ValueError("the CKN Fock space has exactly two states (dim = 2)")
 
-    g = _finite_levels(
-        lambda n: basic_number(model, n, q), dim,
-        f"{model.value} spectrum at q = {q}: level {{n}}",
-    )
+    g = [basic_number(model, n, q) for n in range(dim)]
     violations = tuple((n, g[n]) for n in range(dim) if g[n] < 0.0)
     amplitudes = [0.0] + [math.sqrt(gn) if gn >= 0.0 else 0.0 for gn in g[1:]]
     levels = np.arange(dim)
@@ -199,11 +201,7 @@ def build_fn_multimode(d: int, q: float) -> OperatorSet:
     if d != int(d) or not 1 <= d <= MAX_FN_MODES:
         raise ValueError(f"mode count must lie in 1..{MAX_FN_MODES}, got {d!r}")
     d = int(d)
-    # Python's pow, not numpy's: the two differ in the last bit for some q
-    amplitude_of = np.array(_finite_levels(
-        lambda n: q ** ((n - 1) / 2.0), d + 1,
-        f"FN amplitude q**((N-1)/2) at q = {q}: total occupation N = {{n}}",
-    ))
+    amplitude_of = _fn_amplitudes(q, d)
     states = np.arange(2**d)
     bits = np.arange(d - 1, -1, -1)[:, None]
     occupied = (states >> bits) & 1
@@ -432,9 +430,7 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
     if n != int(n) or not 0 <= n < ops.dim:
         raise ValueError(f"level must lie in 0..{ops.dim - 1}, got {n!r}")
     n = int(n)
-    norm_sq = 1.0
-    for k in range(1, n + 1):
-        norm_sq *= basic_number(ops.model, k, ops.q)
+    norm_sq = float(spectrum(ops.model, ops.q, n).factorials[n])
     if norm_sq <= 0.0:
         raise NonNormalizableStateError(
             f"state {n} has squared norm [n]! = {norm_sq}; not normalizable"

@@ -18,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Model, SingularPointError, require_positive_q
-from .spectra import pvc_basic, vpjc_basic
-
-_BASIC = {Model.PVC: pvc_basic, Model.VPJC: vpjc_basic}
+from .spectra import basic_number
 
 
 def polyval(coeffs, x: float) -> float:
@@ -49,14 +47,13 @@ def vpjc_jd_value(f, x: float, q: float) -> float:
 
 def jd_polynomial(model: Model, coeffs, q: float) -> np.ndarray:
     """Termwise derivative sum a_n x**n -> sum a_n [n] x**(n-1)."""
-    if model not in _BASIC:
+    if model not in (Model.PVC, Model.VPJC):
         raise ValueError("polynomial Jackson derivative applies to PVC and VPJC")
     require_positive_q(q)
-    basic = _BASIC[model]
     a = np.asarray(coeffs, dtype=float)
     if a.size <= 1:
         return np.zeros(1)
-    return np.array([a[n] * basic(n, q) for n in range(1, a.size)])
+    return np.array([a[n] * basic_number(model, n, q) for n in range(1, a.size)])
 
 
 def _padded(arrays):
@@ -72,7 +69,7 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     monomial x**n weighted by q**(-n), the direct polynomial transcription
     of its defining relation c c* + q c*c = q**(-N).
     """
-    if model not in _BASIC:
+    if model not in (Model.PVC, Model.VPJC):
         raise ValueError("identity check applies to PVC and VPJC")
     require_positive_q(q)
     polys = [np.asarray(p, dtype=float) for p in polynomials]

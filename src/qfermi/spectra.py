@@ -8,6 +8,7 @@ the recurrences survive only as independent oracles in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,25 @@ def _require_index(n) -> int:
     return int(n)
 
 
+def _finite(model: Model, n: int, q: float, formula) -> float:
+    """formula(); ValueError naming the model, q and level n where the value
+    overflows a double (Python floats raise OverflowError or give inf)."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{model.value} spectrum at q = {q}: level {n} overflows a double")
+    return value
+
+
 def fn_spectrum(total_n: int, q: float) -> float:
     """Eigenvalue N * q**(N - 1) of the summed deformed mode occupations."""
     require_positive_q(q)
     n = _require_index(total_n)
     if n == 0:
         return 0.0
-    return n * q ** (n - 1)
+    return _finite(Model.FN, n, q, lambda: n * q ** (n - 1))
 
 
 def ckn_spectrum(n: int, q: float) -> float:
@@ -36,7 +49,7 @@ def ckn_spectrum(n: int, q: float) -> float:
     n = _require_index(n)
     if n % 2 == 0:
         return 0.0
-    return q ** (1 - n)
+    return _finite(Model.CKN, n, q, lambda: q ** (1 - n))
 
 
 def pvc_basic(n: int, q: float) -> float:
@@ -45,7 +58,7 @@ def pvc_basic(n: int, q: float) -> float:
     n = _require_index(n)
     qinv = 1.0 / q
     sign = -1.0 if n % 2 else 1.0
-    return (qinv**n - sign * q**n) / (q + qinv)
+    return _finite(Model.PVC, n, q, lambda: (qinv**n - sign * q**n) / (q + qinv))
 
 
 def vpjc_basic(n: int, q: float) -> float:
@@ -58,7 +71,7 @@ def vpjc_basic(n: int, q: float) -> float:
     require_positive_q(q)
     n = _require_index(n)
     sign = -1.0 if n % 2 else 1.0
-    return (1.0 - sign * q**n) / (1.0 + q)
+    return _finite(Model.VPJC, n, q, lambda: (1.0 - sign * q**n) / (1.0 + q))
 
 
 def arik_coon_basic(n: int, q: float) -> float:
@@ -67,7 +80,7 @@ def arik_coon_basic(n: int, q: float) -> float:
     n = _require_index(n)
     if q == 1.0:
         return float(n)
-    return (1.0 - q**n) / (1.0 - q)
+    return _finite(Model.ARIK_COON, n, q, lambda: (1.0 - q**n) / (1.0 - q))
 
 
 _BASIC = {
@@ -90,12 +103,10 @@ def basic_factorial(model: Model, n: int, q: float) -> float:
         raise ValueError(
             "factorials are defined for the PVC, VPJC and Arik-Coon families"
         )
-    require_positive_q(q)
-    n = _require_index(n)
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= basic_number(model, k, q)
-    return out
+    value = float(spectrum(model, q, n).factorials[-1])
+    if not math.isfinite(value):
+        raise ValueError(f"{model.value} factorial [{n}]! at q = {q} overflows a double")
+    return value
 
 
 def vpjc_recurrence_residual(nmax: int, q: float) -> float:
@@ -123,10 +134,8 @@ def spectrum(model: Model, q: float, nmax: int) -> DeformedSpectrum:
     """Tabulate the closed-form spectrum of `model` up to level nmax."""
     nmax = _require_index(nmax)
     values = np.array([basic_number(model, n, q) for n in range(nmax + 1)])
-    factorials = np.empty_like(values)
-    factorials[0] = 1.0
-    for n in range(1, nmax + 1):
-        factorials[n] = factorials[n - 1] * values[n]
+    with np.errstate(over="ignore"):  # an overflowed product is stored as inf
+        factorials = np.cumprod(np.concatenate(([1.0], values[1:])))
     values.setflags(write=False)
     factorials.setflags(write=False)
     return DeformedSpectrum(model, float(q), values, factorials)

@@ -22,6 +22,10 @@ forms for PVC/VPJC arise from the occupation-ratio condition
 [n]/[n+1] = exp(-eta); `occupation_ratio_solve` re-solves that condition
 by bisection as an independent cross-check.
 
+`MODELS` gathers what the code knows of each model's gas in one record:
+distribution, q -> 1 stand-in, singular abscissae, equation of state,
+chemical potential and the FN deformation of its virial series.
+
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
 undeformed 1/(exp(eta)+1), not q/(exp(eta)+q), and this module surfaces
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .models import (
     require_open_unit_q,
     require_positive_q,
 )
-from .spectra import basic_number
+from .spectra import spectrum
 
 # ---------------------------------------------------------------------------
 # distribution functions
@@ -223,7 +228,7 @@ def exact_trace_occupation(
         if not eta > 0.0:
             raise ValueError("truncated trace over an unbounded ladder needs eta > 0")
         levels = np.arange(n_max + 1)
-        g = np.array([basic_number(model, n, q) for n in range(n_max + 2)])
+        g = spectrum(model, q, n_max + 1).values
         weights = np.exp(-eta * levels)
         z_sum = float(weights.sum())
         mean_deformed = float((g[: n_max + 1] * weights).sum() / z_sum)
@@ -382,12 +387,10 @@ def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
     coefficients come out q-independent; doing the reversion in z keeps that
     a measured outcome instead of an assumption.  Supports 2 <= orders <= 6.
     """
-    if model is Model.FN:
-        y = require_positive_q(q)
-    elif model is Model.CKN:
-        y = 1.0 / require_positive_q(q)
-    else:
+    fn_q = MODELS[model].fn_q
+    if fn_q is None:
         raise ValueError("virial expansion is provided for the FN and CKN families")
+    y = fn_q(require_positive_q(q))
     if orders != int(orders) or not 2 <= orders <= 6:
         raise ValueError(f"orders must be an integer in 2..6, got {orders!r}")
     orders = int(orders)
@@ -455,3 +458,45 @@ def ckn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
     """CKN numeric chemical potential: the FN solver at q -> 1/q."""
     require_positive_q(q)
     return fn_mu_numeric(t, 1.0 / q, sommerfeld_terms)
+
+
+# ---------------------------------------------------------------------------
+# one record per model
+
+
+@dataclass(frozen=True)
+class ModelThermo:
+    """The thermodynamic facts of one model; None marks a fact it lacks."""
+
+    distribution: Callable | None = None  # n(eta, q)
+    q1_limit: Callable | None = None  # n(eta) in its place at q = 1
+    singular: Callable = lambda q: ()  # q != 1 -> abscissae where n diverges or jumps
+    eos: Callable | None = None  # EosPoint(q, z, g_mult, tol)
+    mu: tuple | None = None  # (closed form, numeric) mu(t, q)
+    fn_q: Callable | None = None  # q -> FN deformation of the same gas (virial series)
+
+
+MODELS = {
+    Model.FN: ModelThermo(
+        fn_distribution,
+        eos=lambda q, z, g_mult, tol: fn_eos(q, z, tol),
+        mu=(fn_mu_lowT, fn_mu_numeric),
+        fn_q=lambda q: q,
+    ),
+    Model.CKN: ModelThermo(
+        ckn_distribution,
+        eos=lambda q, z, g_mult, tol: ckn_eos(q, z, tol),
+        mu=(ckn_mu_lowT, ckn_mu_numeric),
+        fn_q=lambda q: 1.0 / q,
+    ),
+    Model.PVC: ModelThermo(
+        pvc_distribution,
+        q1_limit_distribution,
+        singular=lambda q: (math.log(1.0 / q),),
+        eos=pvc_eos,
+    ),
+    Model.VPJC: ModelThermo(
+        vpjc_distribution, q1_limit_distribution, singular=lambda q: (0.0,)
+    ),
+    Model.ARIK_COON: ModelThermo(),
+}

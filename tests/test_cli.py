@@ -1,13 +1,26 @@
 """Command-line surface: CSV schemas, exit codes, determinism, check suite."""
 
+import dataclasses
+import hashlib
 import math
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qfermi.cli import _write_csv, main
-from qfermi.thermo import q1_limit_distribution
-from qfermi import verify
+import qfermi
+from qfermi import Model, SingularPointError, thermo, verify
+from qfermi.cli import _fmt, _write_csv, main
+from qfermi.thermo import (
+    ckn_distribution,
+    fn_distribution,
+    pvc_distribution,
+    q1_limit_distribution,
+    vpjc_distribution,
+)
 
 
 def read_csv(path):
@@ -320,3 +333,162 @@ class TestOutputFiles:
         missing = tmp_path / "missing" / "virial.txt"
         assert main(["virial", "--model", "fn", "--out", str(missing)]) == 2
         assert "error: " in capsys.readouterr().err
+
+
+# sha256 of the fixed-flag tables, copied from perfbench/oracles.PINNED_SHA256
+PINNED_SHA256 = {
+    "fig1": "0d457d2d9971f99019f8c507e213a509948a3f46b9e8b92a25e7f2204170da0d",
+    "fig2": "f81ebb881148c541878b5d008d8ff98bbc96ae3894a09118553b916fe6f6ef6a",
+    "dist_fixed": "f7c83d2bee7f5bede4e208cdb06bdcdbc17770d094751627da7c5cd40c53f940",
+}
+FIXED_ARGV = {
+    "fig1": ["figure", "fig1"],
+    "fig2": ["figure", "fig2"],
+    "dist_fixed": ["dist", "--model", "ckn", "--q", "0.5,0.7,1", "--grid", "-5:5:201"],
+}
+FIG2_AS_DIST = ["dist", "--model", "vpjc", "--q", "1/3,0.5,1", "--grid", "-3:5:161"]
+
+
+def table_bytes(tmp_path, argv, name="t.csv"):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+    def test_fixed_tables_match_pinned_digests(self, tmp_path, name):
+        data = table_bytes(tmp_path, FIXED_ARGV[name])
+        assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[name]
+
+    def test_fig2_is_a_fixed_flag_dist(self, tmp_path):
+        assert table_bytes(tmp_path, ["figure", "fig2"], "a.csv") == table_bytes(
+            tmp_path, FIG2_AS_DIST, "b.csv"
+        )
+
+    @pytest.mark.parametrize(
+        "model,q_text,grid",
+        [
+            ("fn", "0.4,1,2.5", (-30.0, 30.0, 241)),
+            ("ckn", "0.4,1,2.5", (-30.0, 30.0, 241)),
+            ("pvc", "0.3,0.8,1", (-5.0, 5.0, 201)),
+            ("vpjc", "1/3,0.5,1", (-3.0, 5.0, 161)),
+        ],
+    )
+    def test_columns_are_the_public_scalar_distributions(self, tmp_path, model, q_text, grid):
+        scalar = {"fn": fn_distribution, "ckn": ckn_distribution,
+                  "pvc": pvc_distribution, "vpjc": vpjc_distribution}[model]
+        singular = {"fn": lambda q: [], "ckn": lambda q: [],
+                    "pvc": lambda q: [math.log(1.0 / q)], "vpjc": lambda q: [0.0]}[model]
+        qs = [float(Fraction(text)) for text in q_text.split(",")]
+        limit = model in ("pvc", "vpjc")
+        out = tmp_path / "d.csv"
+        assert main(["dist", "--model", model, "--q", q_text, "--grid",
+                     "{}:{}:{}".format(*grid), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header[1:] == [
+            "n_q1_limit" if limit and q == 1 else f"n_q{q:g}" for q in qs
+        ]
+        points = [s for q in qs if not (limit and q == 1) for s in singular(q)]
+        for x, row in zip(np.linspace(*grid), rows, strict=True):
+            for s in points:
+                if abs(x - s) < 1e-9:
+                    x = s + 1e-9
+            x = float(x)
+            expected = [
+                q1_limit_distribution(x) if limit and q == 1 else scalar(x, q) for q in qs
+            ]
+            assert row == [_fmt(x)] + [_fmt(v) for v in expected]
+
+
+class TestDistNote:
+    def test_note_counts_moved_points(self, tmp_path, capsys):
+        table_bytes(tmp_path, ["dist", "--model", "vpjc", "--q", "0.5,0.25", "--grid",
+                               "-1:1:5"])
+        assert capsys.readouterr().err == (
+            "note: vpjc: 1 grid point(s) moved 1e-9 off a singular point, "
+            "0 cell(s) left empty\n"
+        )
+
+    def test_silent_when_nothing_moved_or_empty(self, tmp_path, capsys):
+        table_bytes(tmp_path, ["dist", "--model", "vpjc", "--grid", "-1:1:4"])
+        table_bytes(tmp_path, ["dist", "--model", "fn", "--grid", "-1:1:5"])
+        table_bytes(tmp_path, ["figure", "fig1"])
+        assert capsys.readouterr().err == ""
+
+    def test_note_counts_empty_cells(self, tmp_path, capsys, monkeypatch):
+        def fn_with_a_hole(eta, q):
+            if eta == 0.5:
+                raise SingularPointError("test hole")
+            return fn_distribution(eta, q)
+
+        record = dataclasses.replace(thermo.MODELS[Model.FN], distribution=fn_with_a_hole)
+        monkeypatch.setitem(thermo.MODELS, Model.FN, record)
+        out = tmp_path / "d.csv"
+        assert main(["dist", "--model", "fn", "--q", "0.5,2", "--grid", "-1:1:5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "note: fn: 0 grid point(s) moved 1e-9 off a singular point, "
+            "2 cell(s) left empty\n"
+        )
+        _, rows = read_csv(out)
+        assert rows[3] == ["0.5", "", ""]
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-inf:0:3", "0:inf:3"])
+    def test_non_finite_grid_point(self, tmp_path, capsys, grid):
+        out = tmp_path / "d.csv"
+        assert main(["dist", "--model", "fn", "--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: grid points must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("xi", ["nan", "inf", "-inf"])
+    def test_non_finite_xi(self, tmp_path, capsys, xi):
+        out = tmp_path / "fig1.csv"
+        assert main(["figure", "fig1", "--xi", xi, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --xi must be finite")
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"xi={xi}\n")
+        assert main(["figure", "fig1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dist", "--model", "arik-coon"], "dist applies to the fermionic models"),
+            (["eos", "--model", "vpjc"], "eos applies to the fn, ckn and pvc models"),
+            (["eos", "--model", "arik-coon"], "eos applies to the fn, ckn and pvc models"),
+            (["virial", "--model", "pvc"], "virial applies to the fn and ckn models"),
+            (["mu", "--model", "vpjc"], "mu applies to the fn and ckn models"),
+        ],
+    )
+    def test_model_without_the_entry(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "model,q,nmax,level",
+        [("pvc", "0.3", 2000, 590), ("fn", "3", 2000, 642), ("vpjc", "3", 2000, 647),
+         ("ckn", "0.3", 2001, 591), ("arik-coon", "3", 2000, 647)],
+    )
+    def test_spectrum_overflow_is_exit_two(self, tmp_path, capsys, model, q, nmax, level):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--model", model, "--q", q, "--nmax", str(nmax), "--out", str(out)]
+        assert main(argv) == 2
+        message = f"{model} spectrum at q = {float(q)}: level {level} overflows a double"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_spectrum_overflow_prints_no_traceback(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(qfermi.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfermi", "spectrum", "--model", "pvc", "--q", "0.3",
+             "--nmax", "2000", "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: pvc spectrum at q = 0.3: level 590")
+        assert "Traceback" not in proc.stderr

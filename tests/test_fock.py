@@ -356,3 +356,11 @@ class TestOverflow:
             ops.annihilators, ops.creators, q, np.diag(ops.number_op)
         )
         assert dense == report.relation_residuals
+
+
+def test_fn_amplitude_underflow_names_occupation():
+    # q**((N-1)/2) = 1e-400 rounds to 0 at N = 5: the operators would
+    # annihilate every state of occupation >= 5 and still pass check_algebra
+    with pytest.raises(ValueError, match="N = 5 underflows to 0"):
+        build_fn_multimode(5, 1e-200)
+    build_fn_multimode(4, 1e-200)  # N <= 4 amplitudes are still normal doubles

@@ -157,3 +157,8 @@ def test_reflection_property_on_polynomials():
     coeffs = rng.uniform(-1.0, 1.0, size=8)
     for q in (0.3, 0.5, 0.9):
         assert reflection_residual(coeffs, q, (0.25, 1.0, 2.5)) <= 1e-12
+
+
+def test_overflowing_coefficient_is_a_typed_error():
+    with pytest.raises(ValueError, match="pvc spectrum at q = 0.3: level 590 overflows"):
+        jd_polynomial(Model.PVC, _monomial(2000), 0.3)

@@ -1,5 +1,6 @@
 """Closed-form spectra against exact rational-arithmetic oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,53 @@ def test_pvc_q_inversion_antisymmetry_even_levels():
     for n in range(2, 10, 2):
         assert pvc_basic(n, 2.0) == pytest.approx(-pvc_basic(n, 0.5), rel=1e-13)
         assert pvc_basic(n, 2.0) < 0.0
+
+
+@pytest.mark.parametrize(
+    "func,model,n,q",
+    [
+        (pvc_basic, "pvc", 2000, 0.3),
+        (fn_spectrum, "fn", 2000, 3.0),
+        (vpjc_basic, "vpjc", 2000, 3.0),
+        (ckn_spectrum, "ckn", 2001, 0.3),
+        (arik_coon_basic, "arik-coon", 2000, 3.0),
+    ],
+)
+def test_closed_form_overflow_is_a_typed_error(func, model, n, q):
+    expected = f"{model} spectrum at q = {q}: level {n} overflows a double"
+    with pytest.raises(ValueError, match=expected):
+        func(n, q)
+    with pytest.raises(ValueError, match=expected):
+        basic_number(Model.from_name(model), n, q)
+
+
+def test_fn_spectrum_overflow_in_the_product_is_caught():
+    # q**(N-1) is still finite, N * q**(N-1) is not: no exception, an inf
+    assert 1.4236**1999 < math.inf
+    with pytest.raises(ValueError, match="level 2000 overflows"):
+        fn_spectrum(2000, 1.4236)
+
+
+def test_spectrum_table_names_the_overflowing_level():
+    with pytest.raises(ValueError, match="pvc spectrum at q = 0.3: level 590 overflows"):
+        spectrum(Model.PVC, 0.3, 2000)
+
+
+@pytest.mark.parametrize(
+    "model,n,q", [(Model.PVC, 400, 0.3), (Model.PVC, 60, 0.3), (Model.ARIK_COON, 200, 30.0)]
+)
+def test_basic_factorial_overflow_is_a_typed_error(model, n, q):
+    with pytest.raises(ValueError, match=rf"{model.value} factorial \[{n}\]! at q = {q}"):
+        basic_factorial(model, n, q)
+
+
+def test_factorials_equal_the_left_to_right_loop_bit_for_bit():
+    for model in (Model.PVC, Model.VPJC, Model.ARIK_COON):
+        for q in (0.3, 0.7, 1.0, 1.8):
+            table = spectrum(model, q, 25)
+            product = 1.0
+            for n in range(26):
+                if n:
+                    product *= basic_number(model, n, q)
+                assert table.factorials[n] == product
+                assert basic_factorial(model, n, q) == product

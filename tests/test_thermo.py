@@ -30,6 +30,7 @@ from qfermi import (
     vpjc_distribution,
     vpjc_zero_crossing,
 )
+from qfermi.thermo import MODELS
 
 A2_TARGET = 2.0**-2.5
 A3_TARGET = 0.125 - 2.0 * 3.0**-2.5
@@ -385,3 +386,45 @@ class TestChemicalPotential:
             fn_mu_lowT(0.3, 0.5)
         with pytest.raises(ValueError):
             fn_mu_numeric(0.05, 0.5, sommerfeld_terms=5)
+
+
+def test_overflowing_trace_ladder_is_a_typed_error():
+    with pytest.raises(ValueError, match="pvc spectrum at q = 0.3: level 590 overflows"):
+        exact_trace_occupation(Model.PVC, 0.3, 1.0, n_max=600)
+
+
+class TestModelRecords:
+    def test_singular_abscissae_are_where_the_distribution_breaks(self):
+        for model, q in ((Model.PVC, 0.5), (Model.VPJC, 0.5), (Model.VPJC, 0.3)):
+            record = MODELS[model]
+            (point,) = record.singular(q)
+            with pytest.raises(SingularPointError):
+                record.distribution(point, q)
+        for model in (Model.FN, Model.CKN):
+            assert MODELS[model].singular(0.5) == ()
+
+    def test_q1_limit_stands_in_only_where_the_closed_form_stops(self):
+        for model, record in MODELS.items():
+            if record.distribution is None:
+                assert model is Model.ARIK_COON
+                continue
+            if record.q1_limit is None:
+                assert record.distribution(0.7, 1.0) == q1_limit_distribution(0.7)
+            else:
+                assert record.q1_limit is q1_limit_distribution
+                with pytest.raises(ValueError, match="q1_limit"):
+                    record.distribution(0.7, 1.0)
+
+    def test_eos_mu_and_virial_entries(self):
+        assert MODELS[Model.FN].eos(0.5, 0.3, 2.0, 1e-10) == fn_eos(0.5, 0.3, 1e-10)
+        assert MODELS[Model.CKN].eos(2.0, 0.3, 2.0, 1e-10) == ckn_eos(2.0, 0.3, 1e-10)
+        assert MODELS[Model.PVC].eos(0.5, 0.3, 2.0, 1e-10) == pvc_eos(0.5, 0.3, 2.0, 1e-10)
+        assert MODELS[Model.CKN].mu == (ckn_mu_lowT, ckn_mu_numeric)
+        for model in (Model.FN, Model.CKN):
+            y = MODELS[model].fn_q(0.7)
+            assert np.array_equal(
+                virial_coefficients(model, 0.7, 4), virial_coefficients(Model.FN, y, 4)
+            )
+        for model in (Model.PVC, Model.VPJC, Model.ARIK_COON):
+            assert MODELS[model].mu is None and MODELS[model].fn_q is None
+        assert MODELS[Model.VPJC].eos is None and MODELS[Model.ARIK_COON].eos is None
