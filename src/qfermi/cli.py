@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -19,10 +20,11 @@ import tempfile
 import numpy as np
 
 from . import thermo, verify
-from .models import Model, SeriesConvergenceError, SingularPointError
+from .models import Model, SeriesConvergenceError
 from .spectra import basic_number
 
 _SINGULAR_OFFSET = 1e-9
+_BLOCK = 4096  # rows formatted per write
 
 
 class ConfigError(Exception):
@@ -57,11 +59,25 @@ def _atomic_output(path: str):
         raise
 
 
+def _format_block(block: list, width: int) -> str:
+    """CSV lines of `block`: one bulk %-format when every row holds `width`
+    numbers, else `_fmt` per cell.  '%.12g' and format(v, '.12g') give the
+    same text for every float and int."""
+    if all(len(row) == width for row in block):
+        flat = [v for row in block for v in row]
+        try:
+            return ((",".join(["%.12g"] * width) + "\n") * len(block)) % tuple(flat)
+        except TypeError:  # an empty (None) or text cell
+            pass
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in block)
+
+
 def _write_csv(path: str, header, rows) -> None:
+    rows = iter(rows)
     with _atomic_output(path) as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        while block := list(itertools.islice(rows, _BLOCK)):
+            handle.write(_format_block(block, len(header)))
 
 
 def _parse_q_list(text: str):
@@ -128,6 +144,16 @@ def _resolve(args, key: str, fallback):
     return fallback
 
 
+def _table_rows(table: np.ndarray, holes: np.ndarray):
+    """Rows of `table` as lists of floats, None where `holes` is set, made
+    one block at a time so the table never exists whole as Python floats."""
+    for i in range(0, len(table), _BLOCK):
+        rows = table[i : i + _BLOCK].tolist()
+        for r, c in np.argwhere(holes[i : i + _BLOCK]).tolist():
+            rows[r][c] = None
+        yield from rows
+
+
 def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> None:
     """CSV of the `model` distribution at eta = x - xi: one row per point x
     of `grid`, one column per q.  Points within 1e-9 of a singular abscissa
@@ -136,31 +162,29 @@ def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> No
     record = thermo.MODELS[model]
     header, columns, singular = [abscissa], [], []
     for q in q_list:
-        if q == 1.0 and record.q1_limit is not None:
+        if q == 1.0 and record.q1_limit_array is not None:
             header.append("n_q1_limit")
-            columns.append(record.q1_limit)
+            columns.append(record.q1_limit_array)
         else:
             header.append(f"n_q{q:g}")
-            columns.append(lambda eta, q=q, n=record.distribution: n(eta, q))
+            columns.append(lambda eta, q=q, n=record.distribution_array: n(eta, q))
             singular += [s + xi for s in record.singular(q)]
+    for column in columns:
+        column(grid[:0])  # every q is checked before any cell is computed
     nudged = grid.copy()
     for s in singular:
         nudged[np.abs(nudged - s) < _SINGULAR_OFFSET] = s + _SINGULAR_OFFSET
-    empty = 0
-    rows = []
-    for x in nudged:
-        x = float(x)
-        eta = x - xi
-        row = [x]
-        for func in columns:
-            try:
-                row.append(func(eta))
-            except SingularPointError:
-                row.append(None)
-                empty += 1
-        rows.append(row)
-    _write_csv(path, header, rows)
+    table = np.empty((nudged.size, len(header)))
+    holes = np.zeros(table.shape, dtype=bool)
+    table[:, 0] = nudged
+    eta = nudged - xi
+    for k, column in enumerate(columns, 1):
+        table[:, k], mask = column(eta)
+        if mask is not None:
+            holes[:, k] = mask
+    _write_csv(path, header, _table_rows(table, holes))
     moved = int(np.count_nonzero(nudged != grid))
+    empty = int(np.count_nonzero(holes))
     if moved or empty:
         print(
             f"note: {model.value}: {moved} grid point(s) moved 1e-9 off a singular "
@@ -175,7 +199,7 @@ def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> No
 
 def _cmd_dist(args) -> int:
     model = Model.from_name(_resolve(args, "model", "vpjc"))
-    if thermo.MODELS[model].distribution is None:
+    if thermo.MODELS[model].distribution_array is None:
         raise ConfigError("dist applies to the fermionic models")
     q_list = _parse_q_list(_resolve(args, "q", "0.5"))
     grid = _parse_grid(_resolve(args, "grid", "-5:5:201"))

@@ -20,11 +20,14 @@ both are defined for 0 < q < 1 only, with the plain Fermi-Dirac function
 1/(exp(eta) + 1) available separately as their q -> 1 limit.  The closed
 forms for PVC/VPJC arise from the occupation-ratio condition
 [n]/[n+1] = exp(-eta); `occupation_ratio_solve` re-solves that condition
-by bisection as an independent cross-check.
+by bisection as an independent cross-check.  Each distribution has an
+array twin, `*_distribution_array`, whose cells are the scalar's bit for
+bit.
 
 `MODELS` gathers what the code knows of each model's gas in one record:
-distribution, q -> 1 stand-in, singular abscissae, equation of state,
-chemical potential and the FN deformation of its virial series.
+distribution, q -> 1 stand-in, the array twins of both, singular
+abscissae, equation of state, chemical potential and the FN deformation of
+its virial series.
 
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
@@ -54,13 +57,52 @@ from .spectra import spectrum
 # distribution functions
 
 
+def _require_eta(eta: float) -> None:
+    if eta != eta:
+        raise ValueError("distribution argument eta must not be NaN")
+
+
+def _eta_array(eta) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float)
+    if np.isnan(eta).any():
+        raise ValueError("distribution argument eta must not be NaN")
+    return eta
+
+
+def _map(func: Callable, a: np.ndarray) -> np.ndarray:
+    """`func` of each element of `a`, by the scalar `math` function itself:
+    numpy's exp and log differ from it in the last bit on some inputs."""
+    return np.fromiter(map(func, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+# Each `*_distribution_array` twin returns (values, singular mask or None)
+# for an array of eta.  Its cells are bit for bit the scalar form's: the
+# same `math` calls, then the scalar's +, -, *, / and abs in its order, all
+# correctly rounded in numpy too.  exp(-|eta|) is exp(-eta) on the eta > 0
+# branch and exp(eta) on the other, so one call serves both.  Masked cells
+# hold nan; the scalar form raises SingularPointError there.  The arithmetic
+# runs under np.errstate(all="ignore"): like the scalar form, it overflows to
+# inf silently, whatever the caller's numpy error settings.
+
+
 def fn_distribution(eta: float, q: float) -> float:
     """Mean occupation q / (exp(eta) + q) of the multimode FN gas."""
     require_positive_q(q)
+    _require_eta(eta)
     if eta > 0.0:
         w = math.exp(-eta)
         return q * w / (1.0 + q * w)
     return q / (math.exp(eta) + q)
+
+
+def fn_distribution_array(eta, q: float) -> tuple:
+    """`fn_distribution` at each point of the array `eta`; no mask."""
+    require_positive_q(q)
+    eta = _eta_array(eta)
+    e = _map(math.exp, -np.abs(eta))
+    with np.errstate(all="ignore"):
+        qe = q * e
+        return np.where(eta > 0.0, qe / (1.0 + qe), q / (e + q)), None
 
 
 def ckn_distribution(eta: float, q: float) -> float:
@@ -69,12 +111,27 @@ def ckn_distribution(eta: float, q: float) -> float:
     return fn_distribution(eta, 1.0 / q)
 
 
+def ckn_distribution_array(eta, q: float) -> tuple:
+    """`ckn_distribution` at each point of the array `eta`; no mask."""
+    require_positive_q(q)
+    return fn_distribution_array(eta, 1.0 / q)
+
+
 def q1_limit_distribution(eta: float) -> float:
     """Plain Fermi-Dirac occupation 1 / (exp(eta) + 1)."""
+    _require_eta(eta)
     if eta > 0.0:
         w = math.exp(-eta)
         return w / (1.0 + w)
     return 1.0 / (math.exp(eta) + 1.0)
+
+
+def q1_limit_distribution_array(eta) -> tuple:
+    """`q1_limit_distribution` at each point of the array `eta`; no mask."""
+    eta = _eta_array(eta)
+    e = _map(math.exp, -np.abs(eta))
+    with np.errstate(all="ignore"):
+        return np.where(eta > 0.0, e / (1.0 + e), 1.0 / (e + 1.0)), None
 
 
 def _require_open_unit_with_limit_hint(q: float, name: str) -> None:
@@ -91,6 +148,7 @@ def _require_open_unit_with_limit_hint(q: float, name: str) -> None:
 def pvc_distribution(eta: float, q: float) -> float:
     """PVC mean occupation; singular where exp(eta) = 1/q."""
     _require_open_unit_with_limit_hint(q, "PVC")
+    _require_eta(eta)
     if eta > 0.0:
         w = math.exp(-eta)
         num = abs(1.0 - w / q)
@@ -105,6 +163,21 @@ def pvc_distribution(eta: float, q: float) -> float:
     return abs(math.log(num / den)) / (2.0 * abs(math.log(q)))
 
 
+def pvc_distribution_array(eta, q: float) -> tuple:
+    """`pvc_distribution` at each point of the array `eta`, masked where
+    exp(eta) = 1/q."""
+    _require_open_unit_with_limit_hint(q, "PVC")
+    eta = _eta_array(eta)
+    e = _map(math.exp, -np.abs(eta))
+    with np.errstate(all="ignore"):
+        positive = eta > 0.0
+        num = np.where(positive, np.abs(1.0 - e / q), np.abs(e - 1.0 / q))
+        den = np.where(positive, 1.0 + q * e, e + q)
+        singular = num == 0.0
+        ratio = np.where(singular, np.nan, num / den)
+        return np.abs(_map(math.log, ratio)) / (2.0 * abs(math.log(q))), singular
+
+
 def vpjc_distribution(eta: float, q: float) -> float:
     """VPJC mean occupation; discontinuous (divergent) at eta = 0.
 
@@ -112,6 +185,7 @@ def vpjc_distribution(eta: float, q: float) -> float:
     occupied side; see `vpjc_zero_crossing`.
     """
     _require_open_unit_with_limit_hint(q, "VPJC")
+    _require_eta(eta)
     if eta == 0.0:
         raise SingularPointError("VPJC distribution is discontinuous at eta = 0")
     if eta > 0.0:
@@ -119,6 +193,20 @@ def vpjc_distribution(eta: float, q: float) -> float:
     else:
         ratio = -math.expm1(eta) / (math.exp(eta) + q)
     return abs(math.log(ratio)) / abs(math.log(q))
+
+
+def vpjc_distribution_array(eta, q: float) -> tuple:
+    """`vpjc_distribution` at each point of the array `eta`, masked at eta = 0."""
+    _require_open_unit_with_limit_hint(q, "VPJC")
+    eta = _eta_array(eta)
+    t = -np.abs(eta)
+    e = _map(math.exp, t)
+    m = _map(math.expm1, t)
+    singular = eta == 0.0
+    with np.errstate(all="ignore"):
+        ratio = np.where(eta > 0.0, -m / (1.0 + q * e), -m / (e + q))
+        ratio[singular] = np.nan
+        return np.abs(_map(math.log, ratio)) / abs(math.log(q)), singular
 
 
 def vpjc_zero_crossing(q: float) -> float:
@@ -470,6 +558,8 @@ class ModelThermo:
 
     distribution: Callable | None = None  # n(eta, q)
     q1_limit: Callable | None = None  # n(eta) in its place at q = 1
+    distribution_array: Callable | None = None  # (eta array, q) -> (n, mask or None)
+    q1_limit_array: Callable | None = None  # (eta array) -> (n, None) at q = 1
     singular: Callable = lambda q: ()  # q != 1 -> abscissae where n diverges or jumps
     eos: Callable | None = None  # EosPoint(q, z, g_mult, tol)
     mu: tuple | None = None  # (closed form, numeric) mu(t, q)
@@ -479,12 +569,14 @@ class ModelThermo:
 MODELS = {
     Model.FN: ModelThermo(
         fn_distribution,
+        distribution_array=fn_distribution_array,
         eos=lambda q, z, g_mult, tol: fn_eos(q, z, tol),
         mu=(fn_mu_lowT, fn_mu_numeric),
         fn_q=lambda q: q,
     ),
     Model.CKN: ModelThermo(
         ckn_distribution,
+        distribution_array=ckn_distribution_array,
         eos=lambda q, z, g_mult, tol: ckn_eos(q, z, tol),
         mu=(ckn_mu_lowT, ckn_mu_numeric),
         fn_q=lambda q: 1.0 / q,
@@ -492,11 +584,17 @@ MODELS = {
     Model.PVC: ModelThermo(
         pvc_distribution,
         q1_limit_distribution,
+        pvc_distribution_array,
+        q1_limit_distribution_array,
         singular=lambda q: (math.log(1.0 / q),),
         eos=pvc_eos,
     ),
     Model.VPJC: ModelThermo(
-        vpjc_distribution, q1_limit_distribution, singular=lambda q: (0.0,)
+        vpjc_distribution,
+        q1_limit_distribution,
+        vpjc_distribution_array,
+        q1_limit_distribution_array,
+        singular=lambda q: (0.0,),
     ),
     Model.ARIK_COON: ModelThermo(),
 }

@@ -1,15 +1,21 @@
 """Command-line surface: CSV schemas, exit codes, determinism, check suite."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfermi
 from qfermi import Model, SingularPointError, thermo, verify
@@ -17,6 +23,7 @@ from qfermi.cli import _fmt, _write_csv, main
 from qfermi.thermo import (
     ckn_distribution,
     fn_distribution,
+    fn_distribution_array,
     pvc_distribution,
     q1_limit_distribution,
     vpjc_distribution,
@@ -32,6 +39,63 @@ def read_csv(path):
 
 def cell(text):
     return None if text == "" else float(text)
+
+
+def scalar_dist(model, qs, grid, xi=0.0, abscissa="eta"):
+    """(exit code, stderr, CSV bytes or None) of a `dist` table made cell by
+    cell from the public scalar distributions: the reference for `dist`."""
+    record = thermo.MODELS[model]
+    header, columns, singular = [abscissa], [], []
+    for q in qs:
+        if q == 1.0 and record.q1_limit is not None:
+            header.append("n_q1_limit")
+            columns.append(record.q1_limit)
+        else:
+            header.append(f"n_q{q:g}")
+            columns.append(lambda eta, q=q: record.distribution(eta, q))
+            singular += [s + xi for s in record.singular(q)]
+    lines, moved, empty = [",".join(header)], 0, 0
+    try:
+        for x in grid:
+            x = start = float(x)
+            for s in singular:
+                if abs(x - s) < 1e-9:
+                    x = s + 1e-9
+            moved += x != start
+            row = [x]
+            for column in columns:
+                try:
+                    row.append(column(x - xi))
+                except SingularPointError:
+                    row.append(None)
+                    empty += 1
+            lines.append(",".join(_fmt(v) for v in row))
+    except ValueError as exc:
+        return 2, f"error: {exc}\n", None
+    note = ""
+    if moved or empty:
+        note = (f"note: {model.value}: {moved} grid point(s) moved 1e-9 off a singular "
+                f"point, {empty} cell(s) left empty\n")
+    return 0, note, ("\n".join(lines) + "\n").encode()
+
+
+def run_dist(argv):
+    """(exit code, stderr, CSV bytes or None) of `main(argv + --out)`, with
+    every warning raised as an error."""
+    with tempfile.TemporaryDirectory() as folder:
+        out = os.path.join(folder, "d.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", out])
+        data = open(out, "rb").read() if os.path.exists(out) else None
+        assert os.listdir(folder) == ([] if data is None else ["d.csv"])
+    return code, err.getvalue(), data
+
+
+def grid_of(text):
+    start, stop, count = text.split(":")
+    return np.linspace(float(start), float(stop), int(count))
 
 
 class TestDist:
@@ -418,11 +482,12 @@ class TestDistNote:
 
     def test_note_counts_empty_cells(self, tmp_path, capsys, monkeypatch):
         def fn_with_a_hole(eta, q):
-            if eta == 0.5:
-                raise SingularPointError("test hole")
-            return fn_distribution(eta, q)
+            values, _ = fn_distribution_array(eta, q)
+            return values, eta == 0.5
 
-        record = dataclasses.replace(thermo.MODELS[Model.FN], distribution=fn_with_a_hole)
+        record = dataclasses.replace(
+            thermo.MODELS[Model.FN], distribution_array=fn_with_a_hole
+        )
         monkeypatch.setitem(thermo.MODELS, Model.FN, record)
         out = tmp_path / "d.csv"
         assert main(["dist", "--model", "fn", "--q", "0.5,2", "--grid", "-1:1:5",
@@ -433,6 +498,104 @@ class TestDistNote:
         )
         _, rows = read_csv(out)
         assert rows[3] == ["0.5", "", ""]
+
+
+class TestArrayDist:
+    """`dist` computes each column as one array pass; its bytes, stderr and
+    exit code must be those of the per-cell scalar reference."""
+
+    @pytest.mark.parametrize("model", ["fn", "ckn", "pvc", "vpjc"])
+    @pytest.mark.parametrize("q_text", ["5e-324,1e-300,0.5", "5e-324,1e-300,1e300",
+                                        "1e-300,1e300", "0.5,1"])
+    @pytest.mark.parametrize("grid", ["-800:800:9", "-3:3:7"])
+    def test_extreme_q_match_the_scalar_reference(self, model, q_text, grid):
+        qs = [float(v) for v in q_text.split(",")]
+        assert run_dist(["dist", "--model", model, "--q", q_text, "--grid", grid]) == (
+            scalar_dist(Model.from_name(model), qs, grid_of(grid))
+        )
+
+    def test_tiny_q_prints_no_numpy_warning(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(qfermi.__file__))
+        argv = ["dist", "--model", "pvc", "--q", "5e-324,1e-300,0.5", "--grid", "-3:3:7"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfermi", *argv, "--out", "d.csv"], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        expected = scalar_dist(Model.PVC, [5e-324, 1e-300, 0.5], grid_of("-3:3:7"))
+        assert (tmp_path / "d.csv").read_bytes() == expected[2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from([Model.PVC, Model.VPJC]),
+        q=st.floats(0.01, 0.99),
+        below=st.floats(1e-12, 10.0),
+        above=st.floats(1e-12, 10.0),
+        count=st.integers(2, 40),
+        with_limit=st.booleans(),
+    )
+    @example(model=Model.PVC, q=0.5, below=1e-12, above=1e-12, count=2, with_limit=False)
+    @example(model=Model.VPJC, q=0.5, below=1e-12, above=10.0, count=3, with_limit=True)
+    def test_near_singular_points_match_the_scalar_reference(
+        self, model, q, below, above, count, with_limit
+    ):
+        s = math.log(1.0 / q) if model is Model.PVC else 0.0
+        grid = f"{s - below!r}:{s + above!r}:{count}"
+        qs = [q, 1.0] if with_limit else [q]
+        argv = ["dist", "--model", model.value, "--q", ",".join(map(repr, qs)),
+                "--grid", grid]
+        assert run_dist(argv) == scalar_dist(model, qs, grid_of(grid))
+
+    def test_figure_with_xi_matches_the_scalar_reference(self):
+        expected = scalar_dist(Model.CKN, [0.5, 0.7, 0.9, 1.0], np.linspace(0.0, 6.0, 121),
+                               -3.7, "x")
+        assert run_dist(["figure", "fig1", "--xi", "-3.7"]) == expected
+
+    @pytest.mark.parametrize(
+        "model,q_text,message",
+        [
+            ("pvc", "0.5,1.5", "the PVC distribution requires 0 < q < 1, got 1.5"),
+            ("pvc", "0.5,1.5,3", "the PVC distribution requires 0 < q < 1, got 1.5"),
+            ("vpjc", "1,0.5,2", "the VPJC distribution requires 0 < q < 1, got 2.0"),
+        ],
+    )
+    def test_first_bad_q_is_the_error_and_no_file_is_written(self, model, q_text, message):
+        argv = ["dist", "--model", model, "--q", q_text, "--grid", "-5:5:20001"]
+        assert run_dist(argv) == (2, f"error: {message}\n", None)
+
+
+class TestWriteCsv:
+    """`_write_csv` formats whole blocks of numbers at once and falls back to
+    `_fmt` per cell; either way its bytes are the per-cell ones."""
+
+    SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308,
+                1.0 / 3.0, -2.5e-17, 123456789012345.0]
+
+    @staticmethod
+    def reference(header, rows):
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097])
+    @pytest.mark.parametrize("hole", [None, 0, 4094, -1])
+    def test_blocks_equal_the_per_cell_format(self, tmp_path, count, hole):
+        rng = np.random.default_rng(count)
+        rows = [
+            [n, self.SPECIALS[n % len(self.SPECIALS)], float(rng.normal() * 10.0 ** (n % 40))]
+            for n in range(count)
+        ]
+        if hole is not None:
+            rows[hole][1] = None
+        out = tmp_path / "t.csv"
+        _write_csv(str(out), ["n", "a", "b"], iter(rows))
+        assert out.read_bytes() == self.reference(["n", "a", "b"], rows)
+
+    def test_text_cells_and_rows_of_another_width(self, tmp_path):
+        rows = [[1.0, 2.0]] * 10 + [["text", 0.5], [1.0, 2.0, 3.0], [4.0]]
+        out = tmp_path / "t.csv"
+        _write_csv(str(out), ["a", "b"], rows)
+        assert out.read_bytes() == self.reference(["a", "b"], rows)
 
 
 class TestRejectedInput:

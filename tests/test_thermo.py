@@ -1,9 +1,12 @@
 """Distributions, traces, equations of state, virial fit, chemical potential."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfermi import (
     Model,
@@ -405,6 +408,8 @@ class TestModelRecords:
 
     def test_q1_limit_stands_in_only_where_the_closed_form_stops(self):
         for model, record in MODELS.items():
+            assert (record.distribution_array is None) == (record.distribution is None)
+            assert (record.q1_limit_array is None) == (record.q1_limit is None)
             if record.distribution is None:
                 assert model is Model.ARIK_COON
                 continue
@@ -428,3 +433,110 @@ class TestModelRecords:
         for model in (Model.PVC, Model.VPJC, Model.ARIK_COON):
             assert MODELS[model].mu is None and MODELS[model].fn_q is None
         assert MODELS[Model.VPJC].eos is None and MODELS[Model.ARIK_COON].eos is None
+
+
+# (scalar, array twin, q strategy) for each distribution entry of MODELS
+_ANY_Q = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_UNIT_Q = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
+TWINS = {
+    "fn": (MODELS[Model.FN].distribution, MODELS[Model.FN].distribution_array, _ANY_Q),
+    "ckn": (MODELS[Model.CKN].distribution, MODELS[Model.CKN].distribution_array, _ANY_Q),
+    "pvc": (MODELS[Model.PVC].distribution, MODELS[Model.PVC].distribution_array, _UNIT_Q),
+    "vpjc": (MODELS[Model.VPJC].distribution, MODELS[Model.VPJC].distribution_array,
+             _UNIT_Q),
+    "q1_limit": (
+        lambda eta, q: MODELS[Model.VPJC].q1_limit(eta),
+        lambda eta, q: MODELS[Model.VPJC].q1_limit_array(eta),
+        st.just(1.0),
+    ),
+}
+_ETAS = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(-40.0, 40.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e308, -1e308, math.inf, -math.inf, 1e-9, -745.2, 709.8]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_twin_is_the_scalar_bit_for_bit(name, data):
+    scalar, twin, q_values = TWINS[name]
+    q = data.draw(q_values, label="q")
+    etas = data.draw(_ETAS, label="etas")
+    expected, singular, error = [], [], None
+    for eta in etas:
+        try:
+            expected.append(scalar(eta, q))
+            singular.append(False)
+        except SingularPointError:
+            expected.append(math.nan)
+            singular.append(True)
+        except ValueError as exc:  # q outside the domain, or a cell the scalar rejects
+            error = error or exc
+    if error is not None:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            twin(np.array(etas), q)
+        return
+    values, mask = twin(np.array(etas), q)
+    mask = np.zeros(len(etas), dtype=bool) if mask is None else mask
+    assert mask.tolist() == singular
+    expected = np.array(expected)
+    assert values[~mask].view(np.int64).tolist() == expected[~mask].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_array_twin_ignores_the_callers_numpy_error_settings(name):
+    scalar, twin, _ = TWINS[name]
+    # q where the scalar form overflows or underflows silently
+    q = {"fn": 5e-324, "ckn": 1e300, "pvc": 5e-324, "vpjc": 5e-324, "q1_limit": 1.0}[name]
+    etas = np.array([-800.0, -100.0, -1e-9, 1e-9, 100.0, 700.0, math.inf, -math.inf])
+    with np.errstate(all="raise"):
+        values, _ = twin(etas, q)
+    assert values.tolist() == [scalar(float(eta), q) for eta in etas]
+
+
+class TestNanAndInfinity:
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_nan_eta_is_a_value_error(self, name):
+        scalar, twin, _ = TWINS[name]
+        q = 1.0 if name == "q1_limit" else 0.5
+        with pytest.raises(ValueError, match="eta must not be NaN"):
+            scalar(math.nan, q)
+        with pytest.raises(ValueError, match="eta must not be NaN"):
+            twin(np.array([0.3, math.nan, 1.0]), q)
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_infinite_eta_keeps_its_limits(self, name, q):
+        scalar, twin, _ = TWINS[name]
+        q = 1.0 if name == "q1_limit" else q
+        assert scalar(math.inf, q) == 0.0
+        assert scalar(-math.inf, q) == 1.0
+        values, _ = twin(np.array([math.inf, -math.inf]), q)
+        assert values.tolist() == [0.0, 1.0]
+
+    def test_domain_error_of_q_comes_first(self):
+        with pytest.raises(ValueError, match="requires 0 < q < 1"):
+            pvc_distribution(math.nan, 1.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn_distribution(math.nan, -1.0)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_array_twin_keeps_the_shape_of_eta(name):
+    _, twin, _ = TWINS[name]
+    q = 1.0 if name == "q1_limit" else 0.5
+    grid = np.linspace(-3.0, 3.0, 12)
+    flat, flat_mask = twin(grid, q)
+    values, mask = twin(grid.reshape(3, 4), q)
+    assert values.shape == (3, 4)
+    assert values.ravel().view(np.int64).tolist() == flat.view(np.int64).tolist()
+    assert (mask is None) == (flat_mask is None)
+    scalar_value, _ = twin(grid[5], q)
+    assert scalar_value.shape == () and scalar_value == flat[5]
