@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import thermo, verify
-from .models import Model, SeriesConvergenceError
+from .models import Model
 from .spectra import basic_number
 
 _SINGULAR_OFFSET = 1e-9
@@ -210,7 +210,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_eos(args) -> int:
     model = Model.from_name(_resolve(args, "model", "fn"))
-    eos = thermo.MODELS[model].eos
+    eos = thermo.MODELS[model].eos_array
     if eos is None:
         raise ConfigError("eos applies to the fn, ckn and pvc models")
     q_list = _parse_q_list(_resolve(args, "q", "0.5"))
@@ -218,32 +218,31 @@ def _cmd_eos(args) -> int:
     tol = float(_resolve(args, "tol", 1e-10))
     g_mult = float(_resolve(args, "g_mult", 1.0))
     out_base = _resolve(args, "out", f"eos_{model.value}.csv")
+    if not math.isfinite(tol):
+        raise ConfigError(f"--tol must be finite, got {tol}")
     if tol <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not math.isfinite(g_mult):
+        raise ConfigError(f"--g-mult must be finite, got {g_mult}")
     if grid[0] <= 0.0:
         raise ConfigError("eos grids need positive fugacities")
     header = ["z", "pressure", "density", "energy_density", "entropy"]
     for q in q_list:
-        rows = []
-        skipped = 0
-        for z in grid:
-            try:
-                point = eos(q, float(z), g_mult, tol)
-                rows.append(
-                    [float(z), point.pressure, point.density, point.energy_density, point.entropy]
-                )
-            except SeriesConvergenceError:
-                skipped += 1
-                rows.append([float(z), None, None, None, None])
+        state, skipped = eos(q, grid, g_mult, tol)
+        table = np.column_stack(
+            (grid, state.pressure, state.density, state.energy_density, state.entropy)
+        )
+        holes = np.zeros(table.shape, dtype=bool)
+        holes[:, 1:] = skipped[:, None]
         path = out_base
         if len(q_list) > 1:
             stem, ext = os.path.splitext(out_base)
             path = f"{stem}_q{q:g}{ext or '.csv'}"
-        _write_csv(path, header, rows)
-        if skipped:
+        _write_csv(path, header, _table_rows(table, holes))
+        if skipped.any():
             print(
-                f"note: {model.value} q={q:g}: {skipped} rows outside the series "
-                "domain left empty",
+                f"note: {model.value} q={q:g}: {np.count_nonzero(skipped)} rows outside "
+                "the series domain left empty",
                 file=sys.stderr,
             )
     return 0
@@ -280,22 +279,21 @@ def _cmd_virial(args) -> int:
 
 def _cmd_mu(args) -> int:
     model = Model.from_name(_resolve(args, "model", "fn"))
-    if thermo.MODELS[model].mu is None:
+    if thermo.MODELS[model].mu_array is None:
         raise ConfigError("mu applies to the fn and ckn models")
-    closed, numeric = thermo.MODELS[model].mu
+    closed, numeric = thermo.MODELS[model].mu_array
     q_list = _parse_q_list(_resolve(args, "q", "0.5,1,2"))
     grid = _parse_grid(_resolve(args, "grid", "0.01:0.2:20"))
     out = _resolve(args, "out", f"mu_{model.value}.csv")
     header = ["t"]
     for q in q_list:
         header += [f"mu_closed_q{q:g}", f"mu_numeric_q{q:g}"]
-    rows = []
-    for t in grid:
-        row = [float(t)]
-        for q in q_list:
-            row += [closed(float(t), q), numeric(float(t), q)]
-        rows.append(row)
-    _write_csv(out, header, rows)
+    qs = np.array(q_list)[:, None]  # one row per q, one column per t
+    table = np.empty((grid.size, len(header)))
+    table[:, 0] = grid
+    table[:, 1::2] = closed(grid, qs).T
+    table[:, 2::2] = numeric(grid, qs).T
+    _write_csv(out, header, table.tolist())
     return 0
 
 

@@ -15,7 +15,13 @@ acceleration (Experimental Math. 9, 2000): S_n = sum_{k<n} w_k a_k with
 fixed weights w_k = c_k / T_n(3), where T_n is the Chebyshev polynomial.
 Its truncation bound is |S - S_n| <= a_0 / T_n(3) < 2 a_0 / (3 + sqrt 8)**n,
 uniformly up to the edge y = 1, so a call needs about 20 terms whatever y
-is.  The reported bound adds a floating-point rounding term (see
+is.  S_n is y p(y) for a polynomial p of degree n - 1 whose coefficients
+w_k (k+1)**-order are built once per (n, order), and p is evaluated by
+Horner's rule with plain * and +, carrying Higham's running error bound
+as one more multiply-add per step.  The same kernel runs on a float and
+on an array of points, each with its own n (shorter polynomials padded
+with exact leading zeros), so `f_gen_array` gives each point the bits of
+`f_gen`.  The reported bound adds that rounding term (see
 `_alternating_sum`); a tolerance below that floor raises
 `SeriesConvergenceError` rather than returning an uncertified bound.
 
@@ -70,6 +76,7 @@ def _chebyshev_at_three(n_max: int) -> tuple:
 
 _T3 = _chebyshev_at_three(_MAX_ACCEL_TERMS)
 _T3_FLOAT = tuple(float(t) for t in _T3)
+_T3_ARRAY = np.array(_T3_FLOAT)
 _INDICES = tuple(float(l) for l in range(1, _MAX_ACCEL_TERMS + 1))
 
 
@@ -159,34 +166,73 @@ def _accel_weights(n: int) -> tuple:
     return tuple(weights)
 
 
-def _accelerated_sum(y: float, expo: float, n: int):
-    """The n-term accelerated sum and its rounding term (see `_alternating_sum`)."""
-    products = [w * y**l * l**-expo for l, w in zip(_INDICES, _accel_weights(n))]
-    value = math.fsum(products)
-    rounding = _EPS * (5.0 * math.fsum(map(abs, products)) + abs(value))
-    return value, rounding + n * _UNDERFLOW
+@lru_cache(maxsize=1024)
+def _horner_coefficients(n: int, expo: float) -> tuple:
+    """Coefficients c_k = w_k (k+1)**-expo of p, highest degree first."""
+    return tuple(w * l**-expo for l, w in zip(_INDICES, _accel_weights(n)))[::-1]
+
+
+def _padded_coefficients(n: np.ndarray, expo: float) -> np.ndarray:
+    """One column of coefficients per point, for its own n, highest degree
+    first; shorter columns are padded with leading zeros, which Horner's rule
+    passes through exactly (0 y + 0 = 0), so each column gives the bits of
+    its unpadded polynomial."""
+    ns, which = np.unique(n, return_inverse=True)
+    width = int(ns[-1])
+    table = np.zeros((width, ns.size))
+    for j, k in enumerate(ns.tolist()):
+        table[width - k :, j] = _horner_coefficients(k, expo)
+    return table[:, which]
+
+
+def _accelerated_sum(y, expo: float, n):
+    """The n-term accelerated sum y p(y) and its rounding term (see
+    `_alternating_sum`), for a float y and an int n or for 1-D arrays of
+    both: Horner's rule, with `m` the running sum of |p_i| y**i."""
+    if isinstance(n, int):
+        coefficients = _horner_coefficients(n, expo)
+    else:
+        coefficients = _padded_coefficients(n, expo)
+    p = m = 0.0
+    for c in coefficients:
+        p = p * y + c
+        m = m * y + abs(p)
+    value = y * p
+    return value, _EPS * (6.0 * y * m - 2.0 * abs(value)) + n * _UNDERFLOW
 
 
 def _alternating_sum(y: float, expo: float, tol: float):
     """sum (-1)**(l-1) y**l / l**expo for 0 < y <= 1, expo > 0, accelerated.
 
     Uses the smallest n whose bound a_0 / T_n(3) + rounding is <= tol, with
-    a_0 = y.  Rounding term, with u = eps / 2:
-      * each product w_k * y**l * l**-expo carries five roundings (the
-        weight, two libm pow calls within one ulp each, two products), a
-        relative error of at most 7 u = 3.5 eps (to first order);
-      * the correctly rounded `math.fsum` adds at most u |S|;
+    a_0 = y.  The n-term sum is y p(y), p(y) = sum_{k<n} c_k y**k with
+    c_k = w_k (k+1)**-expo, evaluated by Horner's rule: p_{n-1} = c_{n-1},
+    p_i = p_{i+1} y + c_i, value y p_0.  Rounding term, with u = eps / 2
+    and M = sum_i |p_i| y**i, which the kernel carries as one more
+    multiply-add per step (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 5.1, running error bound):
+      * each coefficient carries three roundings (the weight, a libm pow
+        within one ulp, the product), at most 4 u |c_i| to first order;
+      * each Horner step rounds a product and a sum, u |p_{i+1} y| + u |p_i|;
+      * all of it reaches p_0 times y**i, so as |c_i| <= |p_i| + y |p_{i+1}|
+        the error of p_0 is at most 5 u (M + sum_i y**(i+1) |p_{i+1}|)
+        = 5 u (2 M - |p_0|) to first order, Higham's running bound with
+        the coefficients' share added;
+      * the final product y p_0 adds y times that and u |value|, in all
+        at most eps (5 y M - 2 |value|) to first order, as |value| is
+        y |p_0| to first order;
       * the float quotient a_0 / T_n(3) and the final addition add at most
         3 u a_0 / T_n(3) <= eps a_0 / 2.
-    The term eps * (5 * sum |w_k a_k| + |S|) covers the first two and leaves
-    1.5 eps * sum |w_k a_k| >= eps a_0 (as |w_0| >= 2/3) for the third and
-    for the second-order terms.  `_UNDERFLOW` per term covers subnormal
-    products, whose rounding error is absolute, not relative.
+    The term eps * (6 y M - 2 |value|) covers the first four and leaves
+    eps y M >= 2 eps a_0 / 3 (as M >= |c_0| = |w_0| >= 2/3) for the fifth,
+    for the second-order terms and for the float evaluation of M itself.
+    `_UNDERFLOW` per term covers subnormal coefficients and products, whose
+    rounding error is absolute, not relative.
     """
     n = min(max(1, bisect_left(_T3_FLOAT, y / tol)), _MAX_ACCEL_TERMS)
     while True:
         value, rounding = _accelerated_sum(y, expo, n)
-        bound = y / _T3[n] + rounding
+        bound = y / _T3_FLOAT[n] + rounding
         if bound <= tol:
             return value, bound, n
         # the rounding term does not fall as n grows (checked over random
@@ -197,6 +243,29 @@ def _alternating_sum(y: float, expo: float, tol: float):
                 f"precision {bound:.3g}"
             )
         n += 1
+
+
+def _alternating_sum_array(y: np.ndarray, expo: float, tol: float):
+    """`_alternating_sum` at each point of the 1-D array y: values, bounds,
+    term counts, and the mask of the points where it raises (they hold nan
+    and 0 terms).  Each point takes the scalar's n, one step at a time."""
+    n = np.clip(np.searchsorted(_T3_ARRAY, y / tol), 1, _MAX_ACCEL_TERMS)
+    value = np.full(y.shape, np.nan)
+    bound = value.copy()
+    failed = np.zeros(y.shape, dtype=bool)
+    todo = np.arange(y.size)
+    while todo.size:
+        y_todo, n_todo = y[todo], n[todo]
+        v, rounding = _accelerated_sum(y_todo, expo, n_todo)
+        b = y_todo / _T3_ARRAY[n_todo] + rounding
+        done = b <= tol
+        value[todo[done]], bound[todo[done]] = v[done], b[done]
+        stop = ~done & ((rounding > tol) | (n_todo == _MAX_ACCEL_TERMS))
+        failed[todo[stop]] = True
+        todo = todo[~(done | stop)]
+        n[todo] += 1
+    n[failed] = 0
+    return value, bound, n, failed
 
 
 class _PositiveSum:
@@ -291,6 +360,41 @@ def f_gen(order: float, q: float, z: float, tol: float = 1e-12) -> SeriesValue:
         return SeriesValue(value, bound, 1)
     total, bound, n_terms = _alternating_sum(y, order, tol)
     return SeriesValue(total, bound, n_terms)
+
+
+def f_gen_array(order: float, q: float, z, tol: float = 1e-12) -> tuple:
+    """`f_gen` at each point of the array z: (SeriesValue of arrays, mask of
+    the points where `f_gen` raises SeriesConvergenceError).
+
+    Each cell is the scalar call's bit for bit: the same Horner kernel runs
+    on all points at once, each with the scalar's term count, whatever the
+    caller's numpy error settings.  Masked cells hold nan and 0 terms.
+    Raises the scalar's ValueError if any point, or `order`, `q` or `tol`,
+    is outside its domain.
+    """
+    require_positive_q(q)
+    z = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(z) & (z >= 0.0))
+    _validate_common(order, float(z[bad][0]) if bad.any() else 0.0, tol)
+    with np.errstate(all="ignore"):  # overflow to inf is silent, as in f_gen
+        y = q * z
+        failed = y > 1.0
+        live = ~failed & (y != 0.0)
+        value = np.where(failed, np.nan, 0.0)
+        bound = value.copy()
+        terms = np.where(failed, 0, 1)
+        y_live = y[live]
+        if order == 1:
+            v = np.fromiter(map(math.log1p, y_live.tolist()), float, y_live.size)
+            b = 4.0 * _EPS * (1.0 + abs(v))
+            over = b > tol
+            v[over] = b[over] = np.nan
+            n = np.where(over, 0, 1)
+        else:
+            v, b, n, over = _alternating_sum_array(y_live, order, tol)
+        value[live], bound[live], terms[live] = v, b, n
+        failed[live] = over
+    return SeriesValue(value, bound, terms), failed
 
 
 def standard_fd(order: float, z: float, tol: float = 1e-12) -> SeriesValue:

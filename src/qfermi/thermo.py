@@ -26,8 +26,9 @@ bit.
 
 `MODELS` gathers what the code knows of each model's gas in one record:
 distribution, q -> 1 stand-in, the array twins of both, singular
-abscissae, equation of state, chemical potential and the FN deformation of
-its virial series.
+abscissae, equation of state, chemical potential, the array twins of those
+two (`*_eos_array`, `*_mu_*_array`, again the scalar's bit for bit) and the
+FN deformation of its virial series.
 
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
@@ -37,13 +38,14 @@ that disagreement as data rather than reconciling it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .fdseries import f_gen, h_gen
+from .fdseries import f_gen, f_gen_array, h_gen
 from .models import (
     Model,
     SeriesConvergenceError,
@@ -189,10 +191,13 @@ def vpjc_distribution(eta: float, q: float) -> float:
     if eta == 0.0:
         raise SingularPointError("VPJC distribution is discontinuous at eta = 0")
     if eta > 0.0:
-        ratio = -math.expm1(-eta) / (1.0 + q * math.exp(-eta))
+        num, den = -math.expm1(-eta), 1.0 + q * math.exp(-eta)
     else:
-        ratio = -math.expm1(eta) / (math.exp(eta) + q)
-    return abs(math.log(ratio)) / abs(math.log(q))
+        num, den = -math.expm1(eta), math.exp(eta) + q
+    ratio = num / den
+    # a subnormal num over den >= 1 can round to 0; its log is still finite
+    log_ratio = math.log(ratio) if ratio != 0.0 else math.log(num) - math.log(den)
+    return abs(log_ratio) / abs(math.log(q))
 
 
 def vpjc_distribution_array(eta, q: float) -> tuple:
@@ -204,9 +209,12 @@ def vpjc_distribution_array(eta, q: float) -> tuple:
     m = _map(math.expm1, t)
     singular = eta == 0.0
     with np.errstate(all="ignore"):
-        ratio = np.where(eta > 0.0, -m / (1.0 + q * e), -m / (e + q))
-        ratio[singular] = np.nan
-        return np.abs(_map(math.log, ratio)) / abs(math.log(q)), singular
+        den = np.where(eta > 0.0, 1.0 + q * e, e + q)
+        ratio = np.where(singular, np.nan, -m / den)
+        zero = ratio == 0.0
+        log_ratio = _map(math.log, np.where(zero, 1.0, ratio))
+        log_ratio[zero] = _map(math.log, -m[zero]) - _map(math.log, den[zero])
+        return np.abs(log_ratio) / abs(math.log(q)), singular
 
 
 def vpjc_zero_crossing(q: float) -> float:
@@ -240,6 +248,36 @@ def _bisect(func, lo: float, hi: float, iterations: int = 200) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def _bisect_array(func, lo: np.ndarray, hi: np.ndarray, iterations: int = 200) -> np.ndarray:
+    """`_bisect` on every bracket [lo_i, hi_i] of the 1-D arrays at once, with
+    its stop rules per bracket; func(x, rows) is the function of brackets
+    `rows` at the points x."""
+    lo, hi = lo.copy(), hi.copy()
+    f_lo, f_hi = func(lo, slice(None)), func(hi, slice(None))
+    root = np.where(f_lo == 0.0, lo, hi)
+    open_ = (f_lo != 0.0) & (f_hi != 0.0)
+    if (open_ & (f_lo * f_hi > 0.0)).any():
+        raise ValueError("bisection bracket does not straddle a root")
+    rows = np.flatnonzero(open_)
+    for _ in range(iterations):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        stuck = (mid == lo[rows]) | (mid == hi[rows])
+        root[rows[stuck]] = mid[stuck]
+        rows, mid = rows[~stuck], mid[~stuck]
+        f_mid = func(mid, rows)
+        zero = f_mid == 0.0
+        root[rows[zero]] = mid[zero]
+        left = f_lo[rows] * f_mid < 0.0
+        hi[rows[left]] = mid[left]
+        right = ~left & ~zero
+        lo[rows[right]], f_lo[rows[right]] = mid[right], f_mid[right]
+        rows = rows[~zero]
+    root[rows] = 0.5 * (lo[rows] + hi[rows])
+    return root
 
 
 def occupation_ratio_solve(model: Model, eta: float, q: float) -> float:
@@ -375,11 +413,13 @@ def fn_eos(q: float, z: float, tol: float = 1e-10) -> EosPoint:
         raise SeriesConvergenceError(f"equation of state needs q*z < 1, got {q * z}")
     pressure = f_gen(2.5, q, z, tol).value
     density = f_gen(1.5, q, z, tol).value
+    # where q z underflows to 0 both series are 0; pressure / density -> 1
+    ratio = 2.5 * pressure / density if density else 2.5
     return EosPoint(
         pressure=pressure,
         density=density,
         energy_density=1.5 * pressure,
-        entropy=2.5 * pressure / density - math.log(z),
+        entropy=ratio - math.log(z),
     )
 
 
@@ -387,6 +427,39 @@ def ckn_eos(q: float, z: float, tol: float = 1e-10) -> EosPoint:
     """CKN gas state: the FN formulas at q -> 1/q (single source of CKN data)."""
     require_positive_q(q)
     return fn_eos(1.0 / q, z, tol)
+
+
+# Each `*_eos_array` twin returns (EosPoint of arrays, skipped mask) for an
+# array of z: the mask is set exactly where the scalar form raises
+# SeriesConvergenceError, and those cells hold nan.  A ValueError of the
+# scalar form at any point is raised for the whole array.
+
+
+def fn_eos_array(q: float, z, tol: float = 1e-10) -> tuple:
+    """`fn_eos` at each point of the array `z`, bit for bit."""
+    require_positive_q(q)
+    z = np.asarray(z, dtype=float)
+    bad = ~(z > 0.0)
+    if bad.any():
+        raise ValueError(f"fugacity must be positive, got {float(z[bad][0])}")
+    with np.errstate(all="ignore"):
+        live = q * z < 1.0
+        pressure, p_failed = f_gen_array(2.5, q, z[live], tol)
+        density, d_failed = f_gen_array(1.5, q, z[live], tol)
+        skipped = ~live
+        skipped[live] = p_failed | d_failed
+        columns = np.full((2,) + z.shape, np.nan)
+        columns[0][live], columns[1][live] = pressure.value, density.value
+        columns[:, skipped] = np.nan
+        p, d = columns
+        entropy = np.where(d == 0.0, 2.5, 2.5 * p / d) - _map(math.log, z)
+        return EosPoint(p, d, 1.5 * p, entropy), skipped
+
+
+def ckn_eos_array(q: float, z, tol: float = 1e-10) -> tuple:
+    """`ckn_eos` at each point of the array `z`: the FN twin at q -> 1/q."""
+    require_positive_q(q)
+    return fn_eos_array(1.0 / q, z, tol)
 
 
 def pvc_eos(q: float, z: float, g_mult: float = 1.0, tol: float = 1e-10) -> EosPoint:
@@ -406,6 +479,22 @@ def pvc_eos(q: float, z: float, g_mult: float = 1.0, tol: float = 1e-10) -> EosP
         energy_density=1.5 * h52,
         entropy=g_mult * (2.5 * h52 - h32),
     )
+
+
+def pvc_eos_array(q: float, z, g_mult: float = 1.0, tol: float = 1e-10) -> tuple:
+    """`pvc_eos` at each point of the array `z`, by the scalar form per point."""
+    z = np.asarray(z, dtype=float)
+    columns = np.full((4, z.size), np.nan)
+    skipped = np.zeros(z.size, dtype=bool)
+    for i, point in enumerate(z.ravel().tolist()):
+        try:
+            state = pvc_eos(q, point, g_mult, tol)
+        except SeriesConvergenceError:
+            skipped[i] = True
+            continue
+        columns[:, i] = state.pressure, state.density, state.energy_density, state.entropy
+    columns = columns.reshape((4,) + z.shape)
+    return EosPoint(*columns), skipped.reshape(z.shape)
 
 
 def fn_pvc_comparison(q: float, z: float, tol: float = 1e-10) -> dict:
@@ -498,6 +587,7 @@ def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
 # low-temperature chemical potential
 
 _SOMMERFELD = (1.0, math.pi**2 / 8.0, 7.0 * math.pi**4 / 640.0)
+_MU_OVERFLOW = "reduced temperature too small: the density equation overflows"
 
 
 def _validate_t(t: float) -> float:
@@ -538,7 +628,13 @@ def fn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
         return t**1.5 * big_l**1.5 * bracket - 1.0
 
     lo, hi = 1.5, max(4.0, 4.0 / t)
-    big_l = _bisect(lhs, lo, hi)
+    # for t below about 1e-205, 4/t or (4/t)**1.5 overflows
+    if hi == math.inf:
+        raise ValueError(_MU_OVERFLOW)
+    try:
+        big_l = _bisect(lhs, lo, hi)
+    except OverflowError:
+        raise ValueError(_MU_OVERFLOW) from None
     return t * (big_l - math.log(q))
 
 
@@ -546,6 +642,93 @@ def ckn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
     """CKN numeric chemical potential: the FN solver at q -> 1/q."""
     require_positive_q(q)
     return fn_mu_numeric(t, 1.0 / q, sommerfeld_terms)
+
+
+# Each `*_mu_*_array` twin returns the array of its scalar form over t and q
+# broadcast against each other, bit for bit: the same `math` calls and
+# float powers per element, the scalar's arithmetic in its order, under
+# np.errstate(all="ignore").  A ValueError of the scalar form at any point is
+# raised for the whole array, naming the first bad t.
+
+
+def _t_array(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    bad = ~((t > 0.0) & (t <= 0.2))
+    if bad.any():
+        _validate_t(float(t[bad][0]))
+    return t
+
+
+def _q_array(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    for value in q.ravel().tolist():
+        require_positive_q(value)
+    return q
+
+
+def fn_mu_lowT_array(t, q) -> np.ndarray:
+    """`fn_mu_lowT` at each point of t and q broadcast."""
+    t = _t_array(t)
+    log_q = _map(math.log, _q_array(q))
+    with np.errstate(all="ignore"):
+        return -t * log_q + 1.0 - (math.pi**2 / 12.0) * t * t
+
+
+def _inverse_q(q) -> np.ndarray:
+    """1/q per element, as the CKN forms map q; it overflows to inf silently,
+    and the FN form then rejects it."""
+    with np.errstate(all="ignore"):
+        return 1.0 / _q_array(q)
+
+
+def ckn_mu_lowT_array(t, q) -> np.ndarray:
+    """`ckn_mu_lowT` at each point of t and q broadcast."""
+    return fn_mu_lowT_array(t, _inverse_q(q))
+
+
+def _power(a: np.ndarray, exponent) -> np.ndarray:
+    """a**exponent per element by the float power of Python, as the scalar
+    forms compute it (numpy's power can differ in the last bit)."""
+    return np.fromiter(map(pow, a.tolist(), itertools.repeat(exponent)), float, a.size)
+
+
+def fn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
+    """`fn_mu_numeric` at each point of t and q broadcast.  The root L of the
+    density equation depends on t only, so it is solved once per t, by one
+    bisection over all t at once, and shifted by ln q for each q."""
+    t = _t_array(t)
+    log_q = _map(math.log, _q_array(q))
+    if sommerfeld_terms not in (1, 2, 3):
+        raise ValueError("sommerfeld_terms must be 1, 2 or 3")
+    coeffs = _SOMMERFELD[:sommerfeld_terms]
+    flat = t.ravel()
+    t_factor = _power(flat, 1.5)
+
+    def lhs(big_l: np.ndarray, rows) -> np.ndarray:
+        # the terms c_k L**(-2k) of the bracket; for k = 0 it is c_0 exactly
+        terms = [c * _power(big_l, -2 * k) for k, c in enumerate(coeffs) if k]
+        if len(terms) == 2:  # math.fsum of three is not (a + b) + c
+            columns = zip(itertools.repeat(coeffs[0]), *(x.tolist() for x in terms))
+            bracket = np.fromiter(map(math.fsum, columns), float, big_l.size)
+        else:  # math.fsum of at most two is their rounded sum
+            bracket = sum(terms, coeffs[0])
+        return t_factor[rows] * _power(big_l, 1.5) * bracket - 1.0
+
+    with np.errstate(all="ignore"):
+        lo = np.full(flat.shape, 1.5)
+        hi = np.maximum(4.0, 4.0 / flat)
+        if (hi == math.inf).any():
+            raise ValueError(_MU_OVERFLOW)
+        try:
+            big_l = _bisect_array(lhs, lo, hi).reshape(t.shape)
+        except OverflowError:
+            raise ValueError(_MU_OVERFLOW) from None
+        return t * (big_l - log_q)
+
+
+def ckn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
+    """`ckn_mu_numeric` at each point of t and q broadcast."""
+    return fn_mu_numeric_array(t, _inverse_q(q), sommerfeld_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +745,9 @@ class ModelThermo:
     q1_limit_array: Callable | None = None  # (eta array) -> (n, None) at q = 1
     singular: Callable = lambda q: ()  # q != 1 -> abscissae where n diverges or jumps
     eos: Callable | None = None  # EosPoint(q, z, g_mult, tol)
+    eos_array: Callable | None = None  # (q, z array, g_mult, tol) -> (EosPoint, skipped)
     mu: tuple | None = None  # (closed form, numeric) mu(t, q)
+    mu_array: tuple | None = None  # their twins, mu(t array, q array) broadcast
     fn_q: Callable | None = None  # q -> FN deformation of the same gas (virial series)
 
 
@@ -571,14 +756,18 @@ MODELS = {
         fn_distribution,
         distribution_array=fn_distribution_array,
         eos=lambda q, z, g_mult, tol: fn_eos(q, z, tol),
+        eos_array=lambda q, z, g_mult, tol: fn_eos_array(q, z, tol),
         mu=(fn_mu_lowT, fn_mu_numeric),
+        mu_array=(fn_mu_lowT_array, fn_mu_numeric_array),
         fn_q=lambda q: q,
     ),
     Model.CKN: ModelThermo(
         ckn_distribution,
         distribution_array=ckn_distribution_array,
         eos=lambda q, z, g_mult, tol: ckn_eos(q, z, tol),
+        eos_array=lambda q, z, g_mult, tol: ckn_eos_array(q, z, tol),
         mu=(ckn_mu_lowT, ckn_mu_numeric),
+        mu_array=(ckn_mu_lowT_array, ckn_mu_numeric_array),
         fn_q=lambda q: 1.0 / q,
     ),
     Model.PVC: ModelThermo(
@@ -588,6 +777,7 @@ MODELS = {
         q1_limit_distribution_array,
         singular=lambda q: (math.log(1.0 / q),),
         eos=pvc_eos,
+        eos_array=pvc_eos_array,
     ),
     Model.VPJC: ModelThermo(
         vpjc_distribution,

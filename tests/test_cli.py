@@ -598,7 +598,91 @@ class TestWriteCsv:
         assert out.read_bytes() == self.reference(["a", "b"], rows)
 
 
+def scalar_table(header, rows_of):
+    """(exit code, stderr, CSV bytes or None) of a table whose rows come one
+    grid point at a time from `rows_of`; errors as `main` reports them."""
+    try:
+        lines, note = rows_of()
+    except ValueError as exc:
+        return 2, f"error: {exc}\n", None
+    text = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in lines]
+    return 0, note, ("\n".join(text) + "\n").encode()
+
+
+def scalar_mu(model, qs, grid):
+    """`mu` table made cell by cell from the public scalar forms."""
+    closed, numeric = thermo.MODELS[model].mu
+    header = ["t"] + [f"mu_{kind}_q{q:g}" for q in qs for kind in ("closed", "numeric")]
+
+    def rows():
+        return [[float(t)] + [f(float(t), q) for q in qs for f in (closed, numeric)]
+                for t in grid], ""
+
+    return scalar_table(header, rows)
+
+
+def scalar_eos(model, q, grid, tol=1e-10, g_mult=1.0):
+    """`eos` table of one q made point by point from the public scalar form."""
+    eos = thermo.MODELS[model].eos
+
+    def rows():
+        out, skipped = [], 0
+        for z in grid:
+            try:
+                state = eos(q, float(z), g_mult, tol)
+                out.append([float(z), state.pressure, state.density,
+                            state.energy_density, state.entropy])
+            except qfermi.SeriesConvergenceError:
+                skipped += 1
+                out.append([float(z), None, None, None, None])
+        note = (f"note: {model.value} q={q:g}: {skipped} rows outside the series domain "
+                "left empty\n") if skipped else ""
+        return out, note
+
+    return scalar_table(["z", "pressure", "density", "energy_density", "entropy"], rows)
+
+
+class TestArrayEosAndMu:
+    """`eos` and `mu` compute each table as array passes; bytes, stderr and
+    exit code must be those of the point-by-point scalar reference."""
+
+    @pytest.mark.parametrize("model", ["fn", "ckn"])
+    @pytest.mark.parametrize("q_text", ["0.5,1,2", "0.347,2.9,1.13", "1e-300,1e300"])
+    @pytest.mark.parametrize("grid", ["0.01:0.2:400", "1e-300:0.2:7", "0.2:0.25:3",
+                                      "-0.1:0.1:3"])
+    def test_mu_bytes_are_the_scalar_writers(self, model, q_text, grid):
+        qs = [float(v) for v in q_text.split(",")]
+        assert run_dist(["mu", "--model", model, "--q", q_text, "--grid", grid]) == (
+            scalar_mu(Model.from_name(model), qs, grid_of(grid))
+        )
+
+    @pytest.mark.parametrize(
+        "model,q,grid,tol",
+        [("fn", 0.7, "0.01:1.6:300", 1e-10), ("ckn", 0.6, "0.005:0.7:300", 3e-12),
+         ("fn", 1.3, "1e-300:0.9:50", 1e-15), ("ckn", 2.0, "0.5:2.5:9", 1e-16),
+         ("pvc", 0.5, "0.01:0.6:40", 1e-10), ("fn", 1e-300, "1e-300:1e-290:5", 1e-10)],
+    )
+    def test_eos_bytes_are_the_scalar_writers(self, model, q, grid, tol):
+        argv = ["eos", "--model", model, "--q", repr(q), "--grid", grid, "--tol", repr(tol)]
+        assert run_dist(argv) == scalar_eos(Model.from_name(model), q, grid_of(grid), tol)
+
+
 class TestRejectedInput:
+    @pytest.mark.parametrize("flag,value", [("tol", "inf"), ("tol", "nan"), ("tol", "-inf"),
+                                            ("g_mult", "inf"), ("g_mult", "nan")])
+    @pytest.mark.parametrize("model", ["fn", "pvc"])
+    def test_non_finite_tol_and_g_mult(self, tmp_path, capsys, flag, value, model):
+        out = tmp_path / "eos.csv"
+        option = "--" + flag.replace("_", "-")
+        assert main(["eos", "--model", model, f"{option}={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.replace('_', '-')}={value}\n")
+        assert main(["eos", "--model", model, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-inf:0:3", "0:inf:3"])
     def test_non_finite_grid_point(self, tmp_path, capsys, grid):
         out = tmp_path / "d.csv"

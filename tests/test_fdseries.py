@@ -8,6 +8,7 @@ mpmath cross-checks at the end compare against polylogarithms directly.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfermi import SeriesConvergenceError, f_gen, h_gen, standard_fd
+from qfermi import SeriesConvergenceError, f_gen, f_gen_array, h_gen, standard_fd
 from qfermi.fdseries import _CHUNK, _MAX_TERMS, _PAIRWISE_DEPTH, _PositiveSum, _cutoff
 
 # -Li_{5/2}(-0.1), 40-digit evaluation
@@ -208,18 +209,32 @@ _EDGE_Y = st.one_of(
 )
 
 
+# tolerances near the rounding floor of the accelerated sum, about 1e-15
+# at y = 1 and lower below it; f_gen raises there when tol is under the floor
+_NEAR_FLOOR = st.floats(min_value=-15.5, max_value=-14.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     order=st.floats(min_value=0.5, max_value=3.5),
     y=_EDGE_Y,
     q=st.sampled_from([0.5, 1.0, 2.0]),  # powers of two: q * (y / q) <= 1 stays on the edge
-    log_tol=st.floats(min_value=-12.0, max_value=-3.0),
+    log_tol=st.one_of(st.floats(min_value=-12.0, max_value=-3.0), _NEAR_FLOOR),
 )
+@example(order=0.5, y=1.0, q=1.0, log_tol=-14.34)  # floors 4.52e-15 and 9.56e-16
+@example(order=3.5, y=1.0, q=1.0, log_tol=-15.01)
+@example(order=0.5, y=1.0 - 2.0**-52, q=0.5, log_tol=-14.34)
+@example(order=2.5, y=5e-324, q=2.0, log_tol=-15.5)
 def test_f_matches_polylog_within_bound(order, y, q, log_tol):
     tol = 10.0**log_tol
     z = y / q
+    try:
+        out = f_gen(order, q, z, tol)
+    except SeriesConvergenceError:
+        assert log_tol < -14.0  # only below the rounding floor
+        return
     with mpmath.workdps(30):
-        _assert_within_bound(f_gen(order, q, z, tol), _f_ref(order, q * z), tol)
+        _assert_within_bound(out, _f_ref(order, q * z), tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,3 +376,64 @@ def test_cutoff_term_cap():
     assert _cutoff(series, series.tail(18_000_000), 1) == 18_000_000
     with pytest.raises(SeriesConvergenceError):
         _cutoff(series, series.tail(_MAX_TERMS + 1), 1)
+
+
+# ---------------------------------------------------------------------------
+# the array twin of f_gen
+
+_TWIN_Y = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-52, 1.0, 0.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.999, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1.5),  # beyond the edge: masked
+)
+_TWIN_ORDER = st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=3.5))
+
+
+def _scalar_column(order, q, zs, tol):
+    """(values, bounds, terms, raised) of f_gen called point by point."""
+    rows = []
+    for z in zs:
+        try:
+            out = f_gen(order, q, z, tol)
+            rows.append((out.value, out.error_bound, out.terms_used, False))
+        except SeriesConvergenceError:
+            rows.append((math.nan, math.nan, 0, True))
+    values, bounds, terms, raised = zip(*rows)
+    return np.array(values), np.array(bounds), list(terms), list(raised)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    order=_TWIN_ORDER,
+    q=st.sampled_from([0.5, 1.0, 2.0]),
+    ys=st.lists(_TWIN_Y, min_size=1, max_size=30),
+    log_tol=st.one_of(st.floats(min_value=-17.0, max_value=-3.0), st.just(-323.0)),
+)
+def test_f_gen_array_is_f_gen_bit_for_bit(order, q, ys, log_tol):
+    tol = max(10.0**log_tol, 5e-324)
+    zs = [y / q for y in ys]
+    values, bounds, terms, raised = _scalar_column(order, q, zs, tol)
+    out, mask = f_gen_array(order, q, np.array(zs), tol)
+    assert mask.tolist() == raised
+    assert out.value.view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert out.error_bound.view(np.int64).tolist() == bounds.view(np.int64).tolist()
+    assert out.terms_used.tolist() == terms
+
+
+def test_f_gen_array_keeps_shape_and_rejects_what_f_gen_rejects():
+    zs = np.linspace(0.0, 1.2, 12).reshape(3, 4)
+    out, mask = f_gen_array(1.5, 1.0, zs, 1e-12)
+    assert out.value.shape == mask.shape == (3, 4)
+    flat, flat_mask = f_gen_array(1.5, 1.0, zs.ravel(), 1e-12)
+    assert out.value.ravel().view(np.int64).tolist() == flat.value.view(np.int64).tolist()
+    assert mask.ravel().tolist() == flat_mask.tolist()
+    for args in ((0.3, 1.0, [0.5], 1e-8), (1.5, 1.0, [0.5, -0.5], 1e-8),
+                 (1.5, 1.0, [0.5, math.inf], 1e-8), (1.5, 1.0, [0.5], 0.0),
+                 (1.5, -1.0, [0.5], 1e-8)):
+        order, q, zs, tol = args
+        bad = next((z for z in zs if not (math.isfinite(z) and z >= 0.0)), zs[0])
+        with pytest.raises(ValueError) as scalar_error:
+            f_gen(order, q, bad, tol)
+        with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
+            f_gen_array(order, q, np.array(zs), tol)

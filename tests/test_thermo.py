@@ -2,10 +2,11 @@
 
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfermi import (
@@ -16,21 +17,29 @@ from qfermi import (
     build_single_mode,
     ckn_distribution,
     ckn_eos,
+    ckn_eos_array,
     ckn_mu_lowT,
+    ckn_mu_lowT_array,
     ckn_mu_numeric,
+    ckn_mu_numeric_array,
     exact_trace_occupation,
     fn_distribution,
     fn_eos,
+    fn_eos_array,
     fn_mu_lowT,
+    fn_mu_lowT_array,
     fn_mu_numeric,
+    fn_mu_numeric_array,
     fn_pvc_comparison,
     occupation_ratio_solve,
     pvc_distribution,
     pvc_eos,
+    pvc_eos_array,
     q1_limit_distribution,
     spectrum_of_number_operator,
     virial_coefficients,
     vpjc_distribution,
+    vpjc_distribution_array,
     vpjc_zero_crossing,
 )
 from qfermi.thermo import MODELS
@@ -382,6 +391,14 @@ class TestChemicalPotential:
         assert ckn_mu_lowT(0.05, 0.5) == fn_mu_lowT(0.05, 2.0)
         assert ckn_mu_numeric(0.05, 0.5) == fn_mu_numeric(0.05, 2.0)
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-310, 1e-300, 1e-206])
+    def test_tiny_t_overflow_is_a_value_error(self, t):
+        # the bracket end L = 4/t overflows, or L**1.5 does; before, these
+        # returned inf or raised a bare OverflowError
+        with pytest.raises(ValueError, match="density equation overflows"):
+            fn_mu_numeric(t, 0.5)
+        assert fn_mu_numeric(1e-200, 0.5) == pytest.approx(1.0, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fn_mu_lowT(0.0, 0.5)
@@ -425,6 +442,16 @@ class TestModelRecords:
         assert MODELS[Model.CKN].eos(2.0, 0.3, 2.0, 1e-10) == ckn_eos(2.0, 0.3, 1e-10)
         assert MODELS[Model.PVC].eos(0.5, 0.3, 2.0, 1e-10) == pvc_eos(0.5, 0.3, 2.0, 1e-10)
         assert MODELS[Model.CKN].mu == (ckn_mu_lowT, ckn_mu_numeric)
+        assert MODELS[Model.CKN].mu_array == (ckn_mu_lowT_array, ckn_mu_numeric_array)
+        for model, record in MODELS.items():
+            assert (record.eos_array is None) == (record.eos is None)
+            assert (record.mu_array is None) == (record.mu is None)
+            if record.eos is not None:
+                state, skipped = record.eos_array(0.5, np.array([0.3]), 2.0, 1e-10)
+                assert not skipped[0]
+                assert [float(v[0]) for v in astuple(state)] == list(
+                    astuple(record.eos(0.5, 0.3, 2.0, 1e-10))
+                )
         for model in (Model.FN, Model.CKN):
             y = MODELS[model].fn_q(0.7)
             assert np.array_equal(
@@ -540,3 +567,157 @@ def test_array_twin_keeps_the_shape_of_eta(name):
     assert (mask is None) == (flat_mask is None)
     scalar_value, _ = twin(grid[5], q)
     assert scalar_value.shape == () and scalar_value == flat[5]
+
+
+def test_fn_eos_where_q_z_underflows():
+    # both series are 0 there; the entropy takes the limit p / d -> 1
+    state = fn_eos(1e-300, 1e-300)
+    assert (state.pressure, state.density) == (0.0, 0.0)
+    assert state.entropy == 2.5 - math.log(1e-300)
+    twin, skipped = fn_eos_array(1e-300, np.array([1e-300, 0.5]))
+    assert twin.entropy.tolist() == [state.entropy, fn_eos(1e-300, 0.5).entropy]
+    assert not skipped.any()
+
+
+def test_vpjc_underflowed_ratio_keeps_its_log():
+    # 1 + q rounds to 2, so 5e-324 / 2 rounds to 0; the log of the ratio is
+    # log(5e-324) - log(2), finite, where math.log(0) would raise
+    q = 1.0 - 2.0**-53
+    expected = (math.log(2.0) - math.log(5e-324)) / -math.log(q)
+    for eta in (5e-324, -5e-324):
+        assert vpjc_distribution(eta, q) == expected
+    values, singular = vpjc_distribution_array(np.array([5e-324, -5e-324, 0.5]), q)
+    assert values.tolist() == [expected, expected, vpjc_distribution(0.5, q)]
+    assert singular.tolist() == [False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# equation-of-state and chemical-potential twins: every cell is the scalar's
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# scaled fugacity x = q z (fn), z / q (ckn, pvc): the series edge is x = 1
+_EOS_X = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.5, math.inf]),
+    st.floats(min_value=0.0, max_value=1.2, exclude_min=True),
+)
+# pvc sums its second series directly: keep z / q away from 1, where that
+# takes millions of terms
+_PVC_X = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.5, 1.0, 1.5]), st.floats(min_value=0.0, max_value=0.99)
+)
+_EOS_CASES = {
+    Model.FN: (st.floats(min_value=0.2, max_value=3.0), _EOS_X, lambda x, q: x / q),
+    Model.CKN: (st.floats(min_value=0.2, max_value=3.0), _EOS_X, lambda x, q: x * q),
+    Model.PVC: (st.floats(min_value=0.2, max_value=0.95), _PVC_X, lambda x, q: x * q),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_EOS_CASES, key=lambda m: m.value))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eos_twin_is_the_scalar_bit_for_bit(model, data):
+    q_values, xs, z_of = _EOS_CASES[model]
+    record = MODELS[model]
+    q = data.draw(q_values, label="q")
+    zs = [z_of(x, q) for x in data.draw(st.lists(xs, min_size=1, max_size=12), label="xs")]
+    low = -13.0 if model is Model.PVC else -17.0  # down to the rounding floor
+    tol = 10.0 ** data.draw(st.floats(min_value=low, max_value=-3.0), label="log_tol")
+    expected, raised = [], []
+    for z in zs:
+        try:
+            expected.append(astuple(record.eos(q, z, 1.0, tol)))
+            raised.append(False)
+        except SeriesConvergenceError:
+            expected.append((math.nan,) * 4)
+            raised.append(True)
+        except ValueError as exc:  # z = 0 (an underflowed x / q): the whole call
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                record.eos_array(q, np.array(zs), 1.0, tol)
+            return
+    state, skipped = record.eos_array(q, np.array(zs), 1.0, tol)
+    assert skipped.tolist() == raised
+    for column, values in zip(astuple(state), zip(*expected)):
+        assert _bits(column) == _bits(values)
+
+
+@pytest.mark.parametrize("model", [Model.FN, Model.CKN, Model.PVC])
+def test_eos_twin_raises_the_scalars_value_error(model):
+    record = MODELS[model]
+    for q, zs, g_mult in ((0.5, [0.3, -0.1, 0.2], 1.0), (0.5, [0.3, math.nan], 1.0),
+                          (-0.5, [0.3], 1.0), (0.5, [0.3], -1.0)):
+        bad = next((z for z in zs if not z > 0.0), zs[0])
+        try:
+            record.eos(q, bad, g_mult, 1e-10)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                record.eos_array(q, np.array(zs), g_mult, 1e-10)
+        else:  # fn and ckn ignore g_mult
+            record.eos_array(q, np.array(zs), g_mult, 1e-10)
+
+
+def test_eos_twin_keeps_shape_and_ignores_numpy_error_settings():
+    zs = np.array([[1e-300, 0.5], [1.5, 1e299]])  # q z from 1e-600 to 0.1
+    with np.errstate(all="raise"):
+        state, skipped = fn_eos_array(1e-300, zs)
+        assert ckn_eos_array(2.0, zs)[1].tolist() == [[False, False], [False, True]]
+        assert pvc_eos_array(0.5, zs)[1].tolist() == [[False, True], [True, True]]
+    assert skipped.tolist() == [[False, False], [False, False]]
+    assert state.entropy.shape == (2, 2)
+    flat = [fn_eos(1e-300, float(z)).entropy for z in zs.ravel()]
+    assert _bits(state.entropy.ravel()) == _bits(flat)
+
+
+_T = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-12, 0.01, 0.1, 0.2, np.nextafter(0.2, 0.0)]),
+    st.floats(min_value=0.0, max_value=0.2, exclude_min=True),
+)
+_MU_TWINS = {
+    "fn": (fn_mu_lowT, fn_mu_numeric, fn_mu_lowT_array, fn_mu_numeric_array),
+    "ckn": (ckn_mu_lowT, ckn_mu_numeric, ckn_mu_lowT_array, ckn_mu_numeric_array),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MU_TWINS))
+@settings(max_examples=60, deadline=None)
+@given(
+    ts=st.lists(_T, min_size=1, max_size=12),
+    qs=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=3),
+    terms=st.sampled_from([1, 2, 3]),
+)
+@example(ts=[5e-324, 0.2], qs=[0.5], terms=2)
+@example(ts=[1e-300, 0.2], qs=[0.5], terms=2)
+def test_mu_twins_are_the_scalars_bit_for_bit(name, ts, qs, terms):
+    closed, numeric, closed_array, numeric_array = _MU_TWINS[name]
+    t, q = np.array(ts), np.array(qs)[:, None]
+    try:
+        [numeric(x, y, terms) for x in ts for y in qs]
+    except ValueError as exc:  # a t below about 1e-205: (4 / t)**1.5 overflows
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            numeric_array(t, q, terms)
+        return
+    with np.errstate(all="raise"):
+        got_closed = closed_array(t, q)
+        got_numeric = numeric_array(t, q, terms)
+    assert got_closed.shape == got_numeric.shape == (len(qs), len(ts))
+    assert _bits(got_closed) == _bits([[closed(x, y) for x in ts] for y in qs])
+    assert _bits(got_numeric) == _bits([[numeric(x, y, terms) for x in ts] for y in qs])
+
+
+@pytest.mark.parametrize("name", sorted(_MU_TWINS))
+@pytest.mark.parametrize(
+    "ts,q",
+    [([0.1, 0.0, 0.3], 0.5), ([0.1, 0.25, -1.0], 0.5), ([math.nan], 0.5), ([0.1], -1.0),
+     ([0.3], 5e-324)],
+)
+def test_mu_twins_raise_the_scalars_value_error(name, ts, q):
+    closed, numeric, closed_array, numeric_array = _MU_TWINS[name]
+    bad = next((t for t in ts if not 0.0 < t <= 0.2), ts[0])
+    for scalar, twin in ((closed, closed_array), (numeric, numeric_array)):
+        with pytest.raises(ValueError) as scalar_error:
+            scalar(bad, q)
+        with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
+            twin(np.array(ts), q)
