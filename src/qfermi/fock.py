@@ -21,11 +21,13 @@ canonical -- `check_algebra` audits every defining relation against it.
 Storage: every annihilator sends each basis state to at most one basis
 state, so it is kept as two index-aligned arrays, the target basis index
 of each state and the amplitude (0 where the state is annihilated).  For
-FN the targets are bit flips of the state index.  Products of such
-operators stay in this form, so `check_algebra` evaluates the FN relations
-in O(d**2 2**d) time and memory; the dense matrices `annihilators`,
-`creators` and `number_op` are scattered from the arrays only when read,
-once per set.
+FN the targets are bit flips of the state index; a single-mode ladder has
+the one target map n -> n - 1.  Products of such operators stay in this
+form, so every check runs on the arrays and none builds a dense matrix:
+the FN relations take O(d**2 2**d) work, their covariance O(d**4 2**d), a
+single-mode ladder O(dim).  The dense `annihilators` and `number_op` are
+scattered from the arrays only when read, once per set; `creators` are
+read-only transposed views of `annihilators`.
 
 Truncation policy: on a truncated single-mode ladder the relation involving
 c c* cannot hold on the top state, so that relation is evaluated only on
@@ -58,8 +60,8 @@ from .spectra import basic_number, spectrum
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
-# 2**12 basis states: the relation check works on (d, 2**d) index and
-# amplitude arrays; only the on-demand dense matrices grow as d 4**d
+# 2**12 basis states: every check works on (d, 2**d) index and amplitude arrays
+# and (d, d, 2**d) monomials; only the on-demand dense views grow as d 4**d
 MAX_FN_MODES = 12
 
 
@@ -70,10 +72,11 @@ class OperatorSet:
     Annihilator i maps basis state k to `amplitudes[i, k]` times basis state
     `targets[i, k]`; where the amplitude is 0 the target is immaterial.
     `occupation` is the (total) occupation of each basis state, not the
-    deformed one.  The dense read-only matrices are built on first access:
-    `annihilators` holds one matrix per mode (a single entry for the
-    one-mode families), `creators` are their exact transposes and
-    `number_op` is the diagonal occupation counter.
+    deformed one.  The dense read-only views are built on first access and
+    no check reads them: `annihilators` holds one matrix per mode (a single
+    entry for the one-mode families), `creators` are transposed views of
+    them, sharing their memory, and `number_op` is the diagonal occupation
+    counter.
     """
 
     model: Model
@@ -91,20 +94,18 @@ class OperatorSet:
 
     @cached_property
     def annihilators(self) -> tuple:
-        return self._scatter(self.targets, np.arange(self.dim))
+        dense = np.zeros((self.n_modes, self.dim, self.dim))
+        modes = np.arange(self.n_modes)[:, None]
+        dense[modes, self.targets, np.arange(self.dim)] = self.amplitudes
+        return tuple(_freeze(dense))
 
     @cached_property
     def creators(self) -> tuple:
-        return self._scatter(np.arange(self.dim), self.targets)
+        return tuple(a.T for a in self.annihilators)
 
     @cached_property
     def number_op(self) -> np.ndarray:
         return _freeze(np.diag(self.occupation))
-
-    def _scatter(self, rows, cols) -> tuple:
-        dense = np.zeros((self.n_modes, self.dim, self.dim))
-        dense[np.arange(self.n_modes)[:, None], rows, cols] = self.amplitudes
-        return tuple(_freeze(dense))
 
     @property
     def annihilator(self) -> np.ndarray:
@@ -252,42 +253,30 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
         residuals = _fn_monomial_residuals(ops)
         return AlgebraReport(residuals, ops.norm_violations, ops.dim - 1)
 
-    c = ops.annihilator
-    cdag = ops.creator
-    q = ops.q
-    dim = ops.dim
-    n_op = ops.number_op
-    eye = np.eye(dim)
-    levels = np.arange(dim, dtype=float)
-
-    lower = c @ cdag
-    raise_term = cdag @ c
-    if ops.model is Model.VPJC:
-        rhs = eye
-        coeff = q
-        cols = dim - 1
-    elif ops.model is Model.PVC:
-        rhs = np.diag(q**-levels)
-        coeff = q
-        cols = dim - 1
-    else:  # CKN: exact on its two states because the level-2 value vanishes
-        rhs = np.diag(q**-levels)
-        coeff = 1.0 / q
-        cols = dim
-    defining = lower + coeff * raise_term - rhs
+    levels = ops.occupation
+    lowered = ops.targets[0]
+    down = ops.amplitudes[0]  # c |n> = down[n] |n-1>
+    up = np.append(down[1:], 0.0)  # c* |n> = up[n] |n+1>, 0 on the top state
+    # every matrix below is diagonal or one off-diagonal band, each entry a
+    # single product, so the arrays hold the dense products' exact floats
+    lower = up * up
+    rhs = np.ones(ops.dim) if ops.model is Model.VPJC else ops.q**-levels
+    coeff = 1.0 / ops.q if ops.model is Model.CKN else ops.q
+    # CKN is exact on its two states because the level-2 value vanishes
+    cols = ops.dim if ops.model is Model.CKN else ops.dim - 1
+    raise_term = coeff * (down * down)
+    defining = _maxabs((lower + raise_term - rhs)[:cols])
+    n_c = levels[lowered] * down
+    n_cdag = (levels + 1.0) * up
 
     residuals = {
-        "deformed_anticommutation": _scaled(
-            _maxabs(defining[:, :cols]), lower, coeff * raise_term, rhs
-        ),
-        "number_shift_c": _scaled(_maxabs(n_op @ c - c @ n_op + c), n_op @ c, c),
-        "number_shift_cdag": _scaled(
-            _maxabs(n_op @ cdag - cdag @ n_op - cdag), n_op @ cdag, cdag
-        ),
+        "deformed_anticommutation": _scaled(defining, lower, raise_term, rhs),
+        "number_shift_c": _scaled(_maxabs(n_c - down * levels + down), n_c, down),
+        "number_shift_cdag": _scaled(_maxabs(n_cdag - up * levels - up), n_cdag, up),
     }
     if ops.model is Model.CKN:
-        residuals["c_squared"] = _maxabs(c @ c)
-        residuals["cdag_squared"] = _maxabs(cdag @ cdag)
+        residuals["c_squared"] = _maxabs(down[lowered] * down)
+        residuals["cdag_squared"] = _maxabs(up[1:] * up[:-1])
     return AlgebraReport(residuals, ops.norm_violations, cols - 1)
 
 
@@ -355,43 +344,21 @@ def _fn_monomial_residuals(ops: OperatorSet) -> dict:
     }
 
 
-def _fn_relation_residuals(cs, cdags, q, number_diag) -> dict:
-    """FN relation residuals of dense mode operators `cs` with adjoints `cdags`."""
-    dim = cs[0].shape[0]
-    q_pow = np.diag(q**number_diag)
-    n_op = np.diag(number_diag)
-    shifted = n_op + np.eye(dim)
-    worst_cross = 0.0
-    worst_pair = 0.0
-    for i, ci in enumerate(cs):
-        for j, cdj in enumerate(cdags):
-            lower = ci @ cdj
-            upper = q * (cdj @ ci)
-            rel = lower + upper
-            if i == j:
-                rel = rel - q_pow
-            worst_cross = max(worst_cross, _scaled(_maxabs(rel), lower, upper, q_pow))
-            cj = cs[j]
-            pair = ci @ cj
-            worst_pair = max(worst_pair, _scaled(_maxabs(pair + cj @ ci), pair))
-    worst_shift = 0.0
-    for cj in cs:
-        right = cj @ n_op
-        worst_shift = max(
-            worst_shift, _scaled(_maxabs(right - shifted @ cj), right, cj)
-        )
-    return {
-        "deformed_anticommutation": worst_cross,
-        "double_annihilation": worst_pair,
-        "number_shift": worst_shift,
-    }
+def _peak(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| over the last axis, per leading index (NaN propagates)."""
+    return np.abs(m).max(axis=-1)
 
 
 def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) -> float:
     """Residual of the FN relations after the mode mixing c'_i = sum_j T_ij c_j.
 
     `transform` must be a d x d unitary matrix (complex entries allowed here
-    and only here); non-unitary input is rejected.
+    and only here); non-unitary input is rejected.  A mixed product is a
+    T-weighted sum of the monomials c_k c_l*, c_l* c_k and c_k c_l, each one
+    amplitude per column s, with the (k, l) and (l, k) terms on row
+    s ^ e_k ^ e_l.  One pair (k, l) at a time, for all (i, j), that is
+    O(d**4 2**d) work in O(d**2 2**d) memory.  Lower and upper terms are
+    mixed apart and scale the residual as in `check_algebra`.
     """
     T = np.asarray(transform, dtype=complex)
     if T.shape != (d, d):
@@ -400,13 +367,45 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
         raise ValueError("transform is not unitary within tolerance")
 
     ops = build_fn_multimode(d, q)
-    mixed = [
-        sum(T[i, j] * ops.annihilators[j].astype(complex) for j in range(d))
-        for i in range(d)
-    ]
-    mixed_dag = [m.conj().T for m in mixed]
-    residuals = _fn_relation_residuals(mixed, mixed_dag, q, np.diag(ops.number_op))
-    return max(residuals.values())
+    amps, flips = ops.amplitudes, ops.targets
+    number = ops.occupation
+    q_pow = q**number
+    up = np.take_along_axis(amps, flips, axis=1)  # c_l* |s> = up[l, s] |s ^ e_l>
+    flipped = amps[:, flips]  # [k, l, s]: amplitude of c_k on s ^ e_l
+    lower = flipped * up  # [k, l, s]: c_k c_l* on column s
+    upper = q * amps[:, None, :] * up[:, flips].transpose(1, 0, 2)  # q c_l* c_k
+    pair = flipped * amps  # c_k c_l
+    tc = T.conj()
+    modes = np.arange(d)
+    # diagonal entries, row s of column s: sum_k T_ik conj(T_jk) m_kk(s)
+    lower_diag = np.einsum("ik,jk,ks->ijs", T, tc, lower[modes, modes])
+    upper_diag = np.einsum("ik,jk,ks->ijs", T, tc, upper[modes, modes])
+    diag = lower_diag + upper_diag
+    diag[modes, modes] -= q_pow
+    cross = _peak(diag)
+    cross_terms = np.maximum(_peak(lower_diag), _peak(upper_diag))
+    pair_res = pair_terms = np.zeros((d, d))  # c_k c_k = 0: no diagonal
+    for k, l in zip(*np.triu_indices(d, 1)):
+        kl = np.outer(T[:, k], tc[:, l])[:, :, None]
+        lk = np.outer(T[:, l], tc[:, k])[:, :, None]
+        lo = kl * lower[k, l] + lk * lower[l, k]
+        hi = kl * upper[k, l] + lk * upper[l, k]
+        cross = np.maximum(cross, _peak(lo + hi))
+        cross_terms = np.maximum(cross_terms, np.maximum(_peak(lo), _peak(hi)))
+        kl = np.outer(T[:, k], T[:, l])[:, :, None]
+        pr = kl * pair[k, l] + kl.transpose(1, 0, 2) * pair[l, k]  # c'_i c'_j
+        pair_res = np.maximum(pair_res, _peak(pr + pr.transpose(1, 0, 2)))
+        pair_terms = np.maximum(pair_terms, _peak(pr))
+    mixed = T[:, :, None] * amps  # c'_j |s> has amplitude mixed[j, k, s] on s ^ e_k
+    right = (mixed * number).reshape(d, -1)
+    shift = _peak(right - ((number[flips] + 1.0) * mixed).reshape(d, -1))
+    shift_terms = np.maximum(_peak(right), _peak(mixed.reshape(d, -1)))
+    # `_scaled` for every (i, j) of each relation and every j of the shift
+    cross_terms = np.maximum(cross_terms, _maxabs(q_pow))
+    residual = np.concatenate([cross, pair_res, shift[None]])
+    terms = np.concatenate([cross_terms, pair_terms, shift_terms[None]])
+    scale = np.maximum(1.0, terms)
+    return _maxabs(np.where(np.isfinite(scale), residual / scale, math.inf))
 
 
 def haar_unitary(dim: int, seed: int = 0) -> np.ndarray:
@@ -435,14 +434,14 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
         raise NonNormalizableStateError(
             f"state {n} has squared norm [n]! = {norm_sq}; not normalizable"
         )
+    if not math.isfinite(norm_sq):
+        raise ValueError(
+            f"{ops.model.value} factorial [{n}]! at q = {ops.q} overflows a double"
+        )
+    # (c*)**n |0> is sqrt(g_1) ... sqrt(g_n) |n>, multiplied level by level
     vec = np.zeros(ops.dim)
-    vec[0] = 1.0
-    for _ in range(n):
-        vec = ops.creator @ vec
-    vec = vec / math.sqrt(norm_sq)
-    expected = np.zeros(ops.dim)
-    expected[n] = 1.0
-    if _maxabs(vec - expected) > 1e-12:
+    vec[n] = math.prod(ops.amplitudes[0, 1 : n + 1].tolist()) / math.sqrt(norm_sq)
+    if not abs(vec[n] - 1.0) <= 1e-12:
         raise RuntimeError("ladder construction deviated from the basis vector")
     return vec
 
@@ -451,11 +450,12 @@ def ckn_undeformed_residuals(ops: OperatorSet) -> dict:
     """Residuals of the plain fermion relations for the rescaled f = q**(N/2) c."""
     if ops.model is not Model.CKN:
         raise ValueError("the rescaling map is defined for the CKN family")
-    weight = np.diag(ops.q ** (np.arange(ops.dim) / 2.0))
-    f = weight @ ops.annihilator
-    fdag = f.T
+    lowered = ops.targets[0]
+    weight = ops.q ** (np.arange(ops.dim) / 2.0)
+    down = weight[lowered] * ops.amplitudes[0]  # f |n> = down[n] |n-1>
+    up = np.append(down[1:], 0.0)  # f* |n> = up[n] |n+1>
     return {
-        "anticommutator": _maxabs(f @ fdag + fdag @ f - np.eye(ops.dim)),
-        "c_squared": _maxabs(f @ f),
-        "cdag_squared": _maxabs(fdag @ fdag),
+        "anticommutator": _maxabs(up * up + down * down - 1.0),
+        "c_squared": _maxabs(down[lowered] * down),
+        "cdag_squared": _maxabs(up[1:] * up[:-1]),
     }

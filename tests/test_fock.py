@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfermi import (
     Model,
@@ -19,9 +21,10 @@ from qfermi import (
     fn_spectrum,
     haar_unitary,
     basic_number,
+    spectrum,
     spectrum_of_number_operator,
 )
-from qfermi.fock import _fn_relation_residuals, _maxabs_sum
+from qfermi.fock import _maxabs, _maxabs_sum, _scaled
 
 SINGLE_MODE_CASES = [
     (Model.VPJC, 0.3, 40),
@@ -38,6 +41,155 @@ SINGLE_MODE_CASES = [
     (Model.CKN, 1.0, 2),
     (Model.CKN, 1.5, 2),
 ]
+
+
+# Dense references: the relation checks as products of the dense matrices the
+# operator sets expose.  The package evaluates them on (target, amplitude)
+# arrays and is compared against these.
+
+
+def _fn_relation_residuals(cs, cdags, q, number_diag) -> dict:
+    """FN relation residuals of dense mode operators `cs` with adjoints `cdags`."""
+    dim = cs[0].shape[0]
+    q_pow = np.diag(q**number_diag)
+    n_op = np.diag(number_diag)
+    shifted = n_op + np.eye(dim)
+    worst_cross = 0.0
+    worst_pair = 0.0
+    for i, ci in enumerate(cs):
+        for j, cdj in enumerate(cdags):
+            lower = ci @ cdj
+            upper = q * (cdj @ ci)
+            rel = lower + upper
+            if i == j:
+                rel = rel - q_pow
+            worst_cross = max(worst_cross, _scaled(_maxabs(rel), lower, upper, q_pow))
+            cj = cs[j]
+            pair = ci @ cj
+            worst_pair = max(worst_pair, _scaled(_maxabs(pair + cj @ ci), pair))
+    worst_shift = 0.0
+    for cj in cs:
+        right = cj @ n_op
+        worst_shift = max(
+            worst_shift, _scaled(_maxabs(right - shifted @ cj), right, cj)
+        )
+    return {
+        "deformed_anticommutation": worst_cross,
+        "double_annihilation": worst_pair,
+        "number_shift": worst_shift,
+    }
+
+
+def _dense_covariance(d, q, transform) -> float:
+    """`covariance_check` by dense products of the mixed complex matrices."""
+    ops = build_fn_multimode(d, q)
+    mixed = [
+        sum(transform[i, j] * ops.annihilators[j].astype(complex) for j in range(d))
+        for i in range(d)
+    ]
+    mixed_dag = [m.conj().T for m in mixed]
+    residuals = _fn_relation_residuals(mixed, mixed_dag, q, np.diag(ops.number_op))
+    return max(residuals.values())
+
+
+def _dense_single_mode_residuals(ops) -> dict:
+    """Single-mode `check_algebra` residuals by dense matrix products."""
+    c = ops.annihilator
+    cdag = ops.creator
+    q = ops.q
+    dim = ops.dim
+    n_op = ops.number_op
+    eye = np.eye(dim)
+    levels = np.arange(dim, dtype=float)
+
+    lower = c @ cdag
+    raise_term = cdag @ c
+    if ops.model is Model.VPJC:
+        rhs = eye
+        coeff = q
+        cols = dim - 1
+    elif ops.model is Model.PVC:
+        rhs = np.diag(q**-levels)
+        coeff = q
+        cols = dim - 1
+    else:
+        rhs = np.diag(q**-levels)
+        coeff = 1.0 / q
+        cols = dim
+    defining = lower + coeff * raise_term - rhs
+
+    residuals = {
+        "deformed_anticommutation": _scaled(
+            _maxabs(defining[:, :cols]), lower, coeff * raise_term, rhs
+        ),
+        "number_shift_c": _scaled(_maxabs(n_op @ c - c @ n_op + c), n_op @ c, c),
+        "number_shift_cdag": _scaled(
+            _maxabs(n_op @ cdag - cdag @ n_op - cdag), n_op @ cdag, cdag
+        ),
+    }
+    if ops.model is Model.CKN:
+        residuals["c_squared"] = _maxabs(c @ c)
+        residuals["cdag_squared"] = _maxabs(cdag @ cdag)
+    return residuals
+
+
+def _dense_ckn_undeformed_residuals(ops) -> dict:
+    weight = np.diag(ops.q ** (np.arange(ops.dim) / 2.0))
+    f = weight @ ops.annihilator
+    fdag = f.T
+    return {
+        "anticommutator": _maxabs(f @ fdag + fdag @ f - np.eye(ops.dim)),
+        "c_squared": _maxabs(f @ f),
+        "cdag_squared": _maxabs(fdag @ fdag),
+    }
+
+
+def _dense_ladder_state(ops, n) -> np.ndarray:
+    """(c*)**n |0> / sqrt([n]!) by n dense matrix-vector products."""
+    vec = np.zeros(ops.dim)
+    vec[0] = 1.0
+    for _ in range(n):
+        vec = ops.creator @ vec
+    return vec / math.sqrt(float(spectrum(ops.model, ops.q, n).factorials[n]))
+
+
+def _assert_same_where_finite(got: dict, dense: dict):
+    """Equal floats where the dense residual is finite, inf where it is not."""
+    assert got.keys() == dense.keys()
+    for name, value in dense.items():
+        assert got[name] == (value if math.isfinite(value) else math.inf), name
+
+
+def _assert_matches_dense(ops, levels):
+    """Residuals, and the states at `levels`, against the dense evaluation."""
+    _assert_same_where_finite(
+        check_algebra(ops).relation_residuals, _dense_single_mode_residuals(ops)
+    )
+    if ops.model is Model.CKN:
+        _assert_same_where_finite(
+            ckn_undeformed_residuals(ops), _dense_ckn_undeformed_residuals(ops)
+        )
+    for n in levels:
+        _assert_state_matches_dense(ops, n)
+
+
+def _assert_state_matches_dense(ops, n):
+    norm_sq = float(spectrum(ops.model, ops.q, n).factorials[n])
+    if norm_sq <= 0.0:
+        with pytest.raises(NonNormalizableStateError):
+            build_state(ops, n)
+    elif not math.isfinite(norm_sq):
+        with pytest.raises(ValueError, match=rf"factorial \[{n}\]! .* overflows a double"):
+            build_state(ops, n)
+    else:
+        dense = _dense_ladder_state(ops, n)
+        expected = np.zeros(ops.dim)
+        expected[n] = 1.0
+        if _maxabs(dense - expected) > 1e-12:
+            with pytest.raises(RuntimeError):
+                build_state(ops, n)
+        else:
+            assert np.array_equal(build_state(ops, n), dense)
 
 
 class TestBuildSingleMode:
@@ -79,6 +231,18 @@ class TestBuildSingleMode:
         ops = build_single_mode(Model.VPJC, 0.5, 4)
         with pytest.raises(ValueError):
             ops.annihilator[0, 1] = 2.0
+
+    @pytest.mark.parametrize(
+        "ops",
+        [build_single_mode(Model.PVC, 0.5, 40), build_fn_multimode(4, 0.83)],
+        ids=["pvc", "fn"],
+    )
+    def test_creators_are_read_only_views(self, ops):
+        for c, cdag in zip(ops.annihilators, ops.creators, strict=True):
+            assert np.shares_memory(cdag, c)
+            assert not cdag.flags.writeable
+            with pytest.raises(ValueError):
+                cdag[1, 0] = 2.0
 
 
 class TestRelations:
@@ -174,6 +338,50 @@ class TestCovariance:
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(4, seed=3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        q=st.floats(0.3, 2.5),
+        kind=st.sampled_from(["haar", "permutation", "phase"]),
+        data=st.data(),
+    )
+    def test_matches_dense_reference(self, d, q, kind, data):
+        # mixing the monomials instead of the matrices rounds differently, so
+        # the two agree to rounding, not bit for bit.  For i = j the dense
+        # c'_i c'_i is rounding noise on a vanishing product, so its scale
+        # floors at 1 and it reads an absolute error of a few ulps of the
+        # largest amplitude product, about q**(d - 1)
+        if kind == "haar":
+            transform = haar_unitary(d, seed=data.draw(st.integers(0, 2**32 - 1)))
+        elif kind == "permutation":
+            transform = np.eye(d)[data.draw(st.permutations(range(d)))]
+        else:
+            angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=d, max_size=d))
+            transform = np.diag(np.exp(1j * np.array(angles)))
+        got = covariance_check(d, q, transform)
+        dense = _dense_covariance(d, q, transform)
+        assert got <= 1e-10 and dense <= 1e-10
+        assert abs(got - dense) <= 1e-14 * max(1.0, q ** (d - 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflow_never_passes(self):
+        transform = haar_unitary(3, seed=5)
+        assert covariance_check(3, 1e150, transform) == math.inf
+        assert _dense_covariance(3, 1e150, transform) == math.inf
+
+    def test_ten_modes_without_dense_matrices(self):
+        # one dense complex 1024 x 1024 matrix alone is 16.8 MB
+        transform = haar_unitary(10, seed=2)
+        tracemalloc.start()
+        try:
+            residual = covariance_check(10, 0.83, transform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-10
+        assert peak < 32 * 2**20
 
 
 class TestBuildState:
@@ -336,6 +544,45 @@ class TestFnPermutationArrays:
         assert diag[-1] == pytest.approx(fn_spectrum(12, q), rel=1e-13)
 
 
+class TestSingleModeArrays:
+    """Single-mode checks read the (target, amplitude) arrays; every dense
+    product they replace has one nonzero term per entry, so the residuals and
+    states must equal the dense evaluation bit for bit where it is finite."""
+
+    @pytest.mark.parametrize("model,q,dim", SINGLE_MODE_CASES)
+    def test_equal_dense_products(self, model, q, dim):
+        _assert_matches_dense(build_single_mode(model, q, dim), range(dim))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from([Model.VPJC, Model.PVC, Model.CKN]),
+        q=st.floats(0.1, 3.0),
+        dim=st.integers(2, 260),
+        level=st.integers(0, 259),
+    )
+    @example(model=Model.CKN, q=1e-310, dim=2, level=1)  # 1/q overflows
+    @example(model=Model.PVC, q=0.912, dim=220, level=150)  # [150]! overflows
+    @example(model=Model.VPJC, q=2.0, dim=8, level=4)  # [4]! > 0 past g_2 < 0
+    def test_equal_dense_products_everywhere(self, model, q, dim, level):
+        ops = build_single_mode(model, q, 2 if model is Model.CKN else dim)
+        _assert_matches_dense(ops, [level % ops.dim])
+
+    def test_long_ladder_without_dense_matrices(self):
+        # a dense 20,000-level matrix would take 3.2 GB
+        ops = build_single_mode(Model.VPJC, 0.5, 20_000)
+        tracemalloc.start()
+        try:
+            report = check_algebra(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_residual <= 1e-12, report.relation_residuals
+        assert peak < 16 * 2**20
+        assert not {"annihilators", "creators", "number_op"} & set(vars(ops))
+
+
 class TestOverflow:
     def test_fn_amplitude_overflow_names_occupation(self):
         with pytest.raises(ValueError, match="N = 5 overflows"):
@@ -344,6 +591,13 @@ class TestOverflow:
     def test_single_mode_spectrum_overflow_names_level(self):
         with pytest.raises(ValueError, match="level 590 overflows"):
             build_single_mode(Model.PVC, 0.3, 700)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [150, 210])
+    def test_state_factorial_overflow_is_a_typed_error(self, n):
+        ops = build_single_mode(Model.PVC, 0.912, 220)
+        with pytest.raises(ValueError, match=rf"pvc factorial \[{n}\]! at q = 0.912 overflows"):
+            build_state(ops, n)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
