@@ -23,11 +23,12 @@ state, so it is kept as two index-aligned arrays, the target basis index
 of each state and the amplitude (0 where the state is annihilated).  For
 FN the targets are bit flips of the state index; a single-mode ladder has
 the one target map n -> n - 1.  Products of such operators stay in this
-form, so every check runs on the arrays and none builds a dense matrix:
-the FN relations take O(d**2 2**d) work, their covariance O(d**4 2**d), a
-single-mode ladder O(dim).  The dense `annihilators` and `number_op` are
-scattered from the arrays only when read, once per set; `creators` are
-read-only transposed views of `annihilators`.
+form, so no check builds a dense matrix.  The FN relations and their
+covariance read one table of the monomials c_i c_j*, q c_j* c_i and c_i c_j
+as (d, d, 2**d) arrays: O(d**2 2**d) work for all (i, j) at once, and
+O(d**4 2**d) to mix it; a single-mode ladder takes O(dim).  The dense
+`annihilators` and `number_op` are scattered from the arrays only when
+read, once per set; `creators` are transposed views of `annihilators`.
 
 Truncation policy: on a truncated single-mode ladder the relation involving
 c c* cannot hold on the top state, so that relation is evaluated only on
@@ -42,8 +43,8 @@ q-deformed two-level algebra and an ordinary fermion mode.
 
 Overflow: a builder whose spectrum or amplitude overflows a double, or
 whose nonzero FN amplitude underflows to 0, raises ValueError naming the
-level, and a relation residual that is not finite is reported as
-infinite, so it never passes a bound.
+level; a relation residual that is not finite is reported as infinite,
+without a numpy warning, so it never passes a bound.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -60,8 +61,8 @@ from .spectra import basic_number, spectrum
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
-# 2**12 basis states: every check works on (d, 2**d) index and amplitude arrays
-# and (d, d, 2**d) monomials; only the on-demand dense views grow as d 4**d
+# 2**12 basis states: the checks read (d, 2**d) index and amplitude arrays and
+# the one (d, d, 2**d) monomial table; only the on-demand dense views grow as d 4**d
 MAX_FN_MODES = 12
 
 
@@ -144,6 +145,11 @@ def _maxabs(m: np.ndarray) -> float:
         return 0.0
     worst = float(np.max(np.abs(m)))
     return math.inf if math.isnan(worst) else worst
+
+
+def _peak(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| over the last axis, kept as a length-1 axis (NaN propagates)."""
+    return np.abs(m).max(axis=-1, keepdims=True)
 
 
 def _fn_amplitudes(q: float, d: int) -> np.ndarray:
@@ -232,25 +238,57 @@ def spectrum_of_number_operator(ops: OperatorSet) -> np.ndarray:
     return total
 
 
-def _scaled(residual: float, *terms) -> float:
-    """Residual divided by the largest term magnitude entering the relation,
-    floored at 1.  Order-unity spectra keep absolute semantics; the growing
-    PVC/CKN spectra (entries up to q**-(dim-1)) are judged at their own scale.
-    An overflowed term makes the residual infinite, never 0."""
-    scale = max(1.0, *(_maxabs(t) for t in terms))
-    return residual / scale if math.isfinite(scale) else math.inf
+def _scaled(residual: np.ndarray, *terms) -> float:
+    """Worst residual of a relation divided by the largest term magnitude
+    entering it, floored at 1.  Each array holds the entries of one operator
+    along its last axis and one operator per leading index (mode or mode
+    pair), so every index is scaled by its own terms.  Order-unity spectra
+    keep absolute semantics; the growing PVC/CKN spectra (entries up to
+    q**-(dim-1)) are judged at their own scale.  An overflowed term makes
+    the residual infinite, never 0."""
+    scale = reduce(np.maximum, map(_peak, terms), 1.0)
+    return _maxabs(np.where(np.isfinite(scale), _peak(residual) / scale, math.inf))
 
 
+def _fn_monomials(ops: OperatorSet) -> tuple:
+    """c_i c_j*, q c_j* c_i and c_i c_j of an FN set as (d, d, 2**d) arrays.
+
+    Entry [i, j, s] is the one amplitude the monomial gives basis state s,
+    on row s ^ e_i ^ e_j for all three, so entries of one column add on one
+    row.  Each is the dense product's float: one product of two amplitudes,
+    then q, as `q * (c_j* @ c_i)` rounds it.
+    """
+    amps, flips = ops.amplitudes, ops.targets
+    up = np.take_along_axis(amps, flips, axis=1)  # c_j* |s> = up[j, s] |s ^ e_j>
+    flipped = amps[:, flips]  # [i, j, s]: amplitude of c_i on s ^ e_j
+    upper = ops.q * (up[:, flips].transpose(1, 0, 2) * amps[:, None, :])
+    return flipped * up, upper, flipped * amps
+
+
+@np.errstate(all="ignore")  # an overflowed term reads as inf
 def check_algebra(ops: OperatorSet) -> AlgebraReport:
     """Evaluate every defining relation of the model as a max-norm residual.
 
-    Residuals are scale-normalized via `_scaled`.  Single-mode relations
-    involving c c* are evaluated only on input states below the truncation
-    boundary (except CKN, whose two states close exactly); the commutation
-    relations with the number operator hold on the full space.
+    Residuals are scale-normalized via `_scaled`; the FN relations take all
+    (i, j) at once from the monomial table.  Single-mode relations involving
+    c c* are evaluated only on input states below the truncation boundary
+    (except CKN, whose two states close exactly); the commutation relations
+    with the number operator hold on the full space.
     """
     if ops.model is Model.FN:
-        residuals = _fn_monomial_residuals(ops)
+        lower, upper, pair = _fn_monomials(ops)
+        amps, number = ops.amplitudes, ops.occupation
+        q_pow = ops.q**number
+        modes = np.arange(ops.n_modes)
+        cross = lower + upper
+        cross[modes, modes] -= q_pow
+        right = amps * number  # c_j N, against (N + 1) c_j on the same entries
+        shift = right - (number[ops.targets] + 1.0) * amps
+        residuals = {
+            "deformed_anticommutation": _scaled(cross, lower, upper, q_pow),
+            "double_annihilation": _scaled(pair + pair.transpose(1, 0, 2), pair),
+            "number_shift": _scaled(shift, right, amps),
+        }
         return AlgebraReport(residuals, ops.norm_violations, ops.dim - 1)
 
     levels = ops.occupation
@@ -265,14 +303,14 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     # CKN is exact on its two states because the level-2 value vanishes
     cols = ops.dim if ops.model is Model.CKN else ops.dim - 1
     raise_term = coeff * (down * down)
-    defining = _maxabs((lower + raise_term - rhs)[:cols])
+    defining = (lower + raise_term - rhs)[:cols]
     n_c = levels[lowered] * down
     n_cdag = (levels + 1.0) * up
 
     residuals = {
         "deformed_anticommutation": _scaled(defining, lower, raise_term, rhs),
-        "number_shift_c": _scaled(_maxabs(n_c - down * levels + down), n_c, down),
-        "number_shift_cdag": _scaled(_maxabs(n_cdag - up * levels - up), n_cdag, up),
+        "number_shift_c": _scaled(n_c - down * levels + down, n_c, down),
+        "number_shift_cdag": _scaled(n_cdag - up * levels - up, n_cdag, up),
     }
     if ops.model is Model.CKN:
         residuals["c_squared"] = _maxabs(down[lowered] * down)
@@ -280,85 +318,17 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     return AlgebraReport(residuals, ops.norm_violations, cols - 1)
 
 
-def _compose(a, b):
-    """Product a @ b of operators given as (targets, amplitudes) pairs."""
-    rows_a, vals_a = a
-    rows_b, vals_b = b
-    return rows_a[rows_b], vals_a[rows_b] * vals_b
-
-
-def _maxabs_sum(*terms) -> float:
-    """Max |entry| of a sum of (targets, amplitudes) operators.
-
-    In each column the terms that share a target row are added in term
-    order, as the dense sum adds them (adding 0 is exact); a term whose row
-    no other term shares is an entry of its own.
-    """
-    worst = 0.0
-    for rows, _ in terms:
-        entry = sum(np.where(other == rows, vals, 0.0) for other, vals in terms)
-        worst = max(worst, _maxabs(entry))
-    return worst
-
-
-def _fn_monomial_residuals(ops: OperatorSet) -> dict:
-    """`_fn_relation_residuals` on the (targets, amplitudes) arrays of `ops`.
-
-    Every product, sum and scale is the one the dense evaluation makes, and
-    each dense matrix entry it reads is a single rounded product, so the
-    residuals are the same floats, in O(d**2 2**d) operations.
-    """
-    q = ops.q
-    number = ops.occupation
-    q_pow = q**number
-    cs = list(zip(ops.targets, ops.amplitudes))
-    # each target map is a bit flip, an involution, so c_i* = (t, a[t])
-    cdags = [(rows, vals[rows]) for rows, vals in cs]
-    minus_q_pow = (np.arange(ops.dim), -q_pow)
-    worst_cross = 0.0
-    worst_pair = 0.0
-    for i, ci in enumerate(cs):
-        for j, (cj, cdj) in enumerate(zip(cs, cdags)):
-            lower = _compose(ci, cdj)
-            rows, vals = _compose(cdj, ci)
-            upper = (rows, q * vals)
-            terms = (lower, upper, minus_q_pow) if i == j else (lower, upper)
-            worst_cross = max(
-                worst_cross, _scaled(_maxabs_sum(*terms), lower[1], upper[1], q_pow)
-            )
-            pair = _compose(ci, cj)
-            worst_pair = max(
-                worst_pair, _scaled(_maxabs_sum(pair, _compose(cj, ci)), pair[1])
-            )
-    worst_shift = 0.0
-    for rows, vals in cs:
-        right = vals * number
-        left = -((number[rows] + 1.0) * vals)
-        worst_shift = max(
-            worst_shift, _scaled(_maxabs_sum((rows, right), (rows, left)), right, vals)
-        )
-    return {
-        "deformed_anticommutation": worst_cross,
-        "double_annihilation": worst_pair,
-        "number_shift": worst_shift,
-    }
-
-
-def _peak(m: np.ndarray) -> np.ndarray:
-    """Largest |entry| over the last axis, per leading index (NaN propagates)."""
-    return np.abs(m).max(axis=-1)
-
-
+@np.errstate(all="ignore")  # an overflowed term reads as inf
 def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) -> float:
     """Residual of the FN relations after the mode mixing c'_i = sum_j T_ij c_j.
 
     `transform` must be a d x d unitary matrix (complex entries allowed here
     and only here); non-unitary input is rejected.  A mixed product is a
-    T-weighted sum of the monomials c_k c_l*, c_l* c_k and c_k c_l, each one
-    amplitude per column s, with the (k, l) and (l, k) terms on row
-    s ^ e_k ^ e_l.  One pair (k, l) at a time, for all (i, j), that is
-    O(d**4 2**d) work in O(d**2 2**d) memory.  Lower and upper terms are
-    mixed apart and scale the residual as in `check_algebra`.
+    T-weighted sum of the monomials `check_algebra` reads, each one amplitude
+    per column s, with the (k, l) and (l, k) terms on row s ^ e_k ^ e_l.  One
+    pair (k, l) at a time, for all (i, j), that is O(d**4 2**d) work in
+    O(d**2 2**d) memory.  Lower and upper terms are mixed apart and scale the
+    residual as in `check_algebra`.
     """
     T = np.asarray(transform, dtype=complex)
     if T.shape != (d, d):
@@ -370,11 +340,7 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     amps, flips = ops.amplitudes, ops.targets
     number = ops.occupation
     q_pow = q**number
-    up = np.take_along_axis(amps, flips, axis=1)  # c_l* |s> = up[l, s] |s ^ e_l>
-    flipped = amps[:, flips]  # [k, l, s]: amplitude of c_k on s ^ e_l
-    lower = flipped * up  # [k, l, s]: c_k c_l* on column s
-    upper = q * amps[:, None, :] * up[:, flips].transpose(1, 0, 2)  # q c_l* c_k
-    pair = flipped * amps  # c_k c_l
+    lower, upper, pair = _fn_monomials(ops)  # [k, l, s]
     tc = T.conj()
     modes = np.arange(d)
     # diagonal entries, row s of column s: sum_k T_ik conj(T_jk) m_kk(s)
@@ -384,7 +350,7 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     diag[modes, modes] -= q_pow
     cross = _peak(diag)
     cross_terms = np.maximum(_peak(lower_diag), _peak(upper_diag))
-    pair_res = pair_terms = np.zeros((d, d))  # c_k c_k = 0: no diagonal
+    pair_res = pair_terms = np.zeros((d, d, 1))  # c_k c_k = 0: no diagonal
     for k, l in zip(*np.triu_indices(d, 1)):
         kl = np.outer(T[:, k], tc[:, l])[:, :, None]
         lk = np.outer(T[:, l], tc[:, k])[:, :, None]
@@ -398,14 +364,12 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
         pair_terms = np.maximum(pair_terms, _peak(pr))
     mixed = T[:, :, None] * amps  # c'_j |s> has amplitude mixed[j, k, s] on s ^ e_k
     right = (mixed * number).reshape(d, -1)
-    shift = _peak(right - ((number[flips] + 1.0) * mixed).reshape(d, -1))
-    shift_terms = np.maximum(_peak(right), _peak(mixed.reshape(d, -1)))
-    # `_scaled` for every (i, j) of each relation and every j of the shift
-    cross_terms = np.maximum(cross_terms, _maxabs(q_pow))
-    residual = np.concatenate([cross, pair_res, shift[None]])
-    terms = np.concatenate([cross_terms, pair_terms, shift_terms[None]])
-    scale = np.maximum(1.0, terms)
-    return _maxabs(np.where(np.isfinite(scale), residual / scale, math.inf))
+    shift = right - ((number[flips] + 1.0) * mixed).reshape(d, -1)
+    return max(
+        _scaled(cross, cross_terms, q_pow),
+        _scaled(pair_res, pair_terms),
+        _scaled(shift, right, mixed.reshape(d, -1)),
+    )
 
 
 def haar_unitary(dim: int, seed: int = 0) -> np.ndarray:
@@ -422,7 +386,8 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
     """Normalized ladder state (c*)**n |0> / sqrt([n]!) on a single-mode set.
 
     Raises NonNormalizableStateError when the squared norm [n]! is zero or
-    negative (e.g. VPJC at q = 1 for n >= 2, where the ladder terminates).
+    negative (e.g. VPJC at q = 1 for n >= 2, where the ladder terminates) or
+    when the ladder passes a zeroed negative level (VPJC at q > 1).
     """
     if ops.n_modes != 1:
         raise ValueError("build_state applies to single-mode representations")
@@ -437,6 +402,11 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
     if not math.isfinite(norm_sq):
         raise ValueError(
             f"{ops.model.value} factorial [{n}]! at q = {ops.q} overflows a double"
+        )
+    if ops.norm_violations and ops.norm_violations[0][0] <= n:
+        level, g = ops.norm_violations[0]
+        raise NonNormalizableStateError(
+            f"state {n} lies past level {level}, whose g = {g} < 0 was zeroed"
         )
     # (c*)**n |0> is sqrt(g_1) ... sqrt(g_n) |n>, multiplied level by level
     vec = np.zeros(ops.dim)

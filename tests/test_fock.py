@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qfermi import (
     spectrum,
     spectrum_of_number_operator,
 )
-from qfermi.fock import _maxabs, _maxabs_sum, _scaled
+from qfermi.fock import _maxabs
 
 SINGLE_MODE_CASES = [
     (Model.VPJC, 0.3, 40),
@@ -46,6 +47,13 @@ SINGLE_MODE_CASES = [
 # Dense references: the relation checks as products of the dense matrices the
 # operator sets expose.  The package evaluates them on (target, amplitude)
 # arrays and is compared against these.
+
+
+def _scaled(residual: float, *terms) -> float:
+    """The residual scale rule on whole matrices: divided by the largest term
+    magnitude, floored at 1, and infinite when a term overflows."""
+    scale = max(1.0, *(_maxabs(t) for t in terms))
+    return residual / scale if math.isfinite(scale) else math.inf
 
 
 def _fn_relation_residuals(cs, cdags, q, number_diag) -> dict:
@@ -180,6 +188,12 @@ def _assert_state_matches_dense(ops, n):
             build_state(ops, n)
     elif not math.isfinite(norm_sq):
         with pytest.raises(ValueError, match=rf"factorial \[{n}\]! .* overflows a double"):
+            build_state(ops, n)
+    elif ops.norm_violations and ops.norm_violations[0][0] <= n:
+        # the dense ladder is 0 past a zeroed negative level
+        assert not _dense_ladder_state(ops, n).any()
+        level = ops.norm_violations[0][0]
+        with pytest.raises(NonNormalizableStateError, match=f"past level {level},"):
             build_state(ops, n)
     else:
         dense = _dense_ladder_state(ops, n)
@@ -368,7 +382,9 @@ class TestCovariance:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_overflow_never_passes(self):
         transform = haar_unitary(3, seed=5)
-        assert covariance_check(3, 1e150, transform) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the package overflows silently
+            assert covariance_check(3, 1e150, transform) == math.inf
         assert _dense_covariance(3, 1e150, transform) == math.inf
 
     def test_ten_modes_without_dense_matrices(self):
@@ -404,6 +420,23 @@ class TestBuildState:
         ops = build_single_mode(Model.VPJC, 2.0, 4)
         with pytest.raises(NonNormalizableStateError):
             build_state(ops, 2)
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (2, r"state 2 has squared norm \[n\]! = -1.0;"),
+            (3, r"state 3 has squared norm \[n\]! = -3.0;"),
+            (4, r"state 4 lies past level 2, whose g = -1.0 < 0 was zeroed"),
+            (5, r"state 5 lies past level 2, whose g = -1.0 < 0 was zeroed"),
+            (6, r"state 6 has squared norm \[n\]! = -3465.0;"),
+            (7, r"state 7 has squared norm \[n\]! = -148995.0;"),
+        ],
+    )
+    def test_positive_norm_past_a_negative_level_rejected(self, n, message):
+        # VPJC at q = 2: g_2 = -1 is zeroed, yet [4]! = 15 and [5]! = 165 are > 0
+        ops = build_single_mode(Model.VPJC, 2.0, 8)
+        with pytest.raises(NonNormalizableStateError, match=message):
+            build_state(ops, n)
 
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
@@ -489,6 +522,16 @@ class TestFnPermutationArrays:
         )
         assert check_algebra(ops).relation_residuals == dense
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), log_q=st.floats(math.log(0.2), math.log(8.0)))
+    def test_residuals_equal_dense_evaluation_at_any_q(self, d, log_q):
+        q = math.exp(log_q)
+        ops = build_fn_multimode(d, q)
+        dense = _fn_relation_residuals(
+            ops.annihilators, ops.creators, q, np.diag(ops.number_op)
+        )
+        assert check_algebra(ops).relation_residuals == dense
+
     @pytest.mark.parametrize("q", FN_EXACT_QS)
     @pytest.mark.parametrize("d", range(1, 7))
     def test_dense_matrices_equal_state_loop(self, d, q):
@@ -511,16 +554,6 @@ class TestFnPermutationArrays:
         for c, cdag in zip(ops.annihilators, ops.creators):
             total += cdag @ c
         assert np.array_equal(spectrum_of_number_operator(ops), np.diag(total))
-
-    def test_sum_adds_only_entries_that_share_a_row(self):
-        rows_a, vals_a = np.array([1, 0, 3, 2]), np.array([0.5, -2.0, 0.25, 1.0])
-        rows_b, vals_b = np.array([1, 2, 3, 0]), np.array([0.75, 1.5, -0.25, 3.0])
-        cols = np.arange(4)
-        dense = np.zeros((4, 4))
-        dense[rows_a, cols] += vals_a
-        dense[rows_b, cols] += vals_b
-        got = _maxabs_sum((rows_a, vals_a), (rows_b, vals_b))
-        assert got == np.max(np.abs(dense)) == 3.0
 
     @pytest.mark.parametrize("model,q,dim", SINGLE_MODE_CASES)
     def test_single_mode_spectrum_equals_dense_product(self, model, q, dim):
@@ -604,7 +637,9 @@ class TestOverflow:
     @pytest.mark.parametrize("d,q", [(3, 1e150), (5, 1e100)])
     def test_overflowed_relation_never_passes(self, d, q):
         ops = build_fn_multimode(d, q)
-        report = check_algebra(ops)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the package overflows silently
+            report = check_algebra(ops)
         assert report.max_residual == math.inf, report.relation_residuals
         dense = _fn_relation_residuals(
             ops.annihilators, ops.creators, q, np.diag(ops.number_op)
