@@ -20,15 +20,14 @@ both are defined for 0 < q < 1 only, with the plain Fermi-Dirac function
 1/(exp(eta) + 1) available separately as their q -> 1 limit.  The closed
 forms for PVC/VPJC arise from the occupation-ratio condition
 [n]/[n+1] = exp(-eta); `occupation_ratio_solve` re-solves that condition
-by bisection as an independent cross-check.  Each distribution has an
-array twin, `*_distribution_array`, whose cells are the scalar's bit for
-bit.
+by bisection as an independent cross-check.
 
-`MODELS` gathers what the code knows of each model's gas in one record:
-distribution, q -> 1 stand-in, the array twins of both, singular
-abscissae, equation of state, chemical potential, the array twins of those
-two (`*_eos_array`, `*_mu_*_array`, again the scalar's bit for bit) and the
-FN deformation of its virial series.
+Each distribution and `fn_mu_lowT` has one body, its array kernel; the
+public scalar is a one-element call of it (12 to 55 us; a `math` body took
+0.3 to 1.5 us).  The equations of state and the numeric chemical potential
+stay pairs of a scalar and its bit-identical `*_array` twin: a one-element
+twin call costs 17 to 30 times the scalar, and the series benchmark times
+the scalar EOS forms.  `MODELS` holds each model's kernels in one record.
 
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
@@ -59,11 +58,6 @@ from .spectra import spectrum
 # distribution functions
 
 
-def _require_eta(eta: float) -> None:
-    if eta != eta:
-        raise ValueError("distribution argument eta must not be NaN")
-
-
 def _eta_array(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if np.isnan(eta).any():
@@ -77,24 +71,29 @@ def _map(func: Callable, a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-# Each `*_distribution_array` twin returns (values, singular mask or None)
-# for an array of eta.  Its cells are bit for bit the scalar form's: the
-# same `math` calls, then the scalar's +, -, *, / and abs in its order, all
-# correctly rounded in numpy too.  exp(-|eta|) is exp(-eta) on the eta > 0
-# branch and exp(eta) on the other, so one call serves both.  Masked cells
-# hold nan; the scalar form raises SingularPointError there.  The arithmetic
-# runs under np.errstate(all="ignore"): like the scalar form, it overflows to
-# inf silently, whatever the caller's numpy error settings.
+# Each `*_distribution_array` kernel returns (values, singular mask or None)
+# for an array of eta, with nan in masked cells; its public scalar is a
+# one-element call that raises SingularPointError where the mask is set.
+# `_map` takes exp, expm1 and log from `math`: the pinned figure and `dist`
+# bytes were made with them.  exp(-|eta|) is exp(-eta) for eta > 0 and
+# exp(eta) otherwise, so one call serves both branches.  The arithmetic runs
+# under np.errstate(all="ignore"), whatever the caller's numpy settings.
+
+
+def _log_ratio(num: np.ndarray, den: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """log(num / den) per cell, nan where `singular`; where the quotient
+    underflows to 0 or overflows, log(num) - log(den), which stays finite."""
+    ratio = np.where(singular, np.nan, num / den)
+    edge = (ratio == 0.0) | (ratio == math.inf)
+    log_ratio = _map(math.log, np.where(edge, 1.0, ratio))
+    if edge.any():
+        log_ratio[edge] = _map(math.log, num[edge]) - _map(math.log, den[edge])
+    return log_ratio
 
 
 def fn_distribution(eta: float, q: float) -> float:
     """Mean occupation q / (exp(eta) + q) of the multimode FN gas."""
-    require_positive_q(q)
-    _require_eta(eta)
-    if eta > 0.0:
-        w = math.exp(-eta)
-        return q * w / (1.0 + q * w)
-    return q / (math.exp(eta) + q)
+    return float(fn_distribution_array(eta, q)[0])
 
 
 def fn_distribution_array(eta, q: float) -> tuple:
@@ -121,19 +120,12 @@ def ckn_distribution_array(eta, q: float) -> tuple:
 
 def q1_limit_distribution(eta: float) -> float:
     """Plain Fermi-Dirac occupation 1 / (exp(eta) + 1)."""
-    _require_eta(eta)
-    if eta > 0.0:
-        w = math.exp(-eta)
-        return w / (1.0 + w)
-    return 1.0 / (math.exp(eta) + 1.0)
+    return float(q1_limit_distribution_array(eta)[0])
 
 
 def q1_limit_distribution_array(eta) -> tuple:
-    """`q1_limit_distribution` at each point of the array `eta`; no mask."""
-    eta = _eta_array(eta)
-    e = _map(math.exp, -np.abs(eta))
-    with np.errstate(all="ignore"):
-        return np.where(eta > 0.0, e / (1.0 + e), 1.0 / (e + 1.0)), None
+    """`q1_limit_distribution` at each point of the array `eta`: the FN kernel at q = 1."""
+    return fn_distribution_array(eta, 1.0)
 
 
 def _require_open_unit_with_limit_hint(q: float, name: str) -> None:
@@ -149,26 +141,20 @@ def _require_open_unit_with_limit_hint(q: float, name: str) -> None:
 
 def pvc_distribution(eta: float, q: float) -> float:
     """PVC mean occupation; singular where exp(eta) = 1/q."""
-    _require_open_unit_with_limit_hint(q, "PVC")
-    _require_eta(eta)
-    if eta > 0.0:
-        w = math.exp(-eta)
-        num = abs(1.0 - w / q)
-        den = 1.0 + q * w
-    else:
-        num = abs(math.exp(eta) - 1.0 / q)
-        den = math.exp(eta) + q
-    if num == 0.0:
+    values, singular = pvc_distribution_array(eta, q)
+    if singular:
         raise SingularPointError(
             f"PVC distribution is singular at eta = ln(1/q) = {-math.log(q)}"
         )
-    return abs(math.log(num / den)) / (2.0 * abs(math.log(q)))
+    return float(values)
 
 
 def pvc_distribution_array(eta, q: float) -> tuple:
     """`pvc_distribution` at each point of the array `eta`, masked where
     exp(eta) = 1/q."""
     _require_open_unit_with_limit_hint(q, "PVC")
+    if q <= 2.0**-1024:
+        raise ValueError(f"the PVC distribution needs a finite 1/q, got q = {q}")
     eta = _eta_array(eta)
     e = _map(math.exp, -np.abs(eta))
     with np.errstate(all="ignore"):
@@ -176,8 +162,7 @@ def pvc_distribution_array(eta, q: float) -> tuple:
         num = np.where(positive, np.abs(1.0 - e / q), np.abs(e - 1.0 / q))
         den = np.where(positive, 1.0 + q * e, e + q)
         singular = num == 0.0
-        ratio = np.where(singular, np.nan, num / den)
-        return np.abs(_map(math.log, ratio)) / (2.0 * abs(math.log(q))), singular
+        return np.abs(_log_ratio(num, den, singular)) / (2.0 * abs(math.log(q))), singular
 
 
 def vpjc_distribution(eta: float, q: float) -> float:
@@ -186,18 +171,10 @@ def vpjc_distribution(eta: float, q: float) -> float:
     For 0 < q < 1 the function vanishes at eta = ln((1-q)/2) on the
     occupied side; see `vpjc_zero_crossing`.
     """
-    _require_open_unit_with_limit_hint(q, "VPJC")
-    _require_eta(eta)
-    if eta == 0.0:
+    values, singular = vpjc_distribution_array(eta, q)
+    if singular:
         raise SingularPointError("VPJC distribution is discontinuous at eta = 0")
-    if eta > 0.0:
-        num, den = -math.expm1(-eta), 1.0 + q * math.exp(-eta)
-    else:
-        num, den = -math.expm1(eta), math.exp(eta) + q
-    ratio = num / den
-    # a subnormal num over den >= 1 can round to 0; its log is still finite
-    log_ratio = math.log(ratio) if ratio != 0.0 else math.log(num) - math.log(den)
-    return abs(log_ratio) / abs(math.log(q))
+    return float(values)
 
 
 def vpjc_distribution_array(eta, q: float) -> tuple:
@@ -210,11 +187,7 @@ def vpjc_distribution_array(eta, q: float) -> tuple:
     singular = eta == 0.0
     with np.errstate(all="ignore"):
         den = np.where(eta > 0.0, 1.0 + q * e, e + q)
-        ratio = np.where(singular, np.nan, -m / den)
-        zero = ratio == 0.0
-        log_ratio = _map(math.log, np.where(zero, 1.0, ratio))
-        log_ratio[zero] = _map(math.log, -m[zero]) - _map(math.log, den[zero])
-        return np.abs(log_ratio) / abs(math.log(q)), singular
+        return np.abs(_log_ratio(-m, den, singular)) / abs(math.log(q)), singular
 
 
 def vpjc_zero_crossing(q: float) -> float:
@@ -521,19 +494,19 @@ def fn_pvc_comparison(q: float, z: float, tol: float = 1e-10) -> dict:
 # virial expansion
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    for i in range(min(a.size, order + 1)):
-        if a[i] == 0.0:
+def _poly_mul(a: list, b: list, order: int) -> list:
+    out = [0.0] * (order + 1)
+    for i, a_i in enumerate(a[: order + 1]):
+        if a_i == 0.0:
             continue
-        width = min(b.size, order + 1 - i)
-        out[i : i + width] += a[i] * b[:width]
+        for k, b_k in enumerate(b[: order + 1 - i]):
+            out[i + k] += a_i * b_k
     return out
 
 
-def _series_inverse(d: np.ndarray, order: int) -> np.ndarray:
+def _series_inverse(d: list, order: int) -> list:
     """Coefficients e with sum_m e_m rho**m inverting rho = sum_l d_l z**l."""
-    e = np.zeros(order + 1)
+    e = [0.0] * (order + 1)
     e[1] = 1.0 / d[1]
     for m in range(2, order + 1):
         power = e.copy()  # e(rho)**1
@@ -545,13 +518,12 @@ def _series_inverse(d: np.ndarray, order: int) -> np.ndarray:
     return e
 
 
-def _series_compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    power = np.zeros(order + 1)
-    power[0] = 1.0
+def _series_compose(outer: list, inner: list, order: int) -> list:
+    out = [0.0] * (order + 1)
+    power = [1.0] + [0.0] * order
     for l in range(1, order + 1):
         power = _poly_mul(power, inner, order)
-        out += outer[l] * power
+        out = [o + outer[l] * p for o, p in zip(out, power)]
     return out
 
 
@@ -562,7 +534,9 @@ def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
     by composition into the pressure series, at coefficient level.  The
     deformation enters both series only through (q z)**l, so the fitted
     coefficients come out q-independent; doing the reversion in z keeps that
-    a measured outcome instead of an assumption.  Supports 2 <= orders <= 6.
+    a measured outcome instead of an assumption.  Supports 2 <= orders <= 6;
+    raises ValueError where a power of the FN deformation or a coefficient
+    overflows a double.
     """
     fn_q = MODELS[model].fn_q
     if fn_q is None:
@@ -572,15 +546,20 @@ def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
         raise ValueError(f"orders must be an integer in 2..6, got {orders!r}")
     orders = int(orders)
 
-    density = np.zeros(orders + 1)
-    pressure = np.zeros(orders + 1)
-    for l in range(1, orders + 1):
-        sign = 1.0 if l % 2 else -1.0
-        density[l] = sign * y**l / l**1.5
-        pressure[l] = sign * y**l / l**2.5
-    inverse = _series_inverse(density, orders)
-    coeffs = _series_compose(pressure, inverse, orders)
-    return coeffs[1 : orders + 1].copy()
+    overflow = f"virial coefficients to order {orders} overflow a double at q = {q}"
+    density = [0.0] * (orders + 1)
+    pressure = [0.0] * (orders + 1)
+    try:
+        for l in range(1, orders + 1):
+            sign = 1.0 if l % 2 else -1.0
+            density[l] = sign * y**l / l**1.5
+            pressure[l] = sign * y**l / l**2.5
+    except OverflowError:  # y**l
+        raise ValueError(overflow) from None
+    coeffs = _series_compose(pressure, _series_inverse(density, orders), orders)[1:]
+    if not all(map(math.isfinite, coeffs)):  # float products overflow to inf or nan
+        raise ValueError(overflow)
+    return np.array(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +577,7 @@ def _validate_t(t: float) -> float:
 
 def fn_mu_lowT(t: float, q: float) -> float:
     """Closed-form mu/eps_F = -t ln q + 1 - (pi**2/12) t**2."""
-    _validate_t(t)
-    require_positive_q(q)
-    return -t * math.log(q) + 1.0 - (math.pi**2 / 12.0) * t * t
+    return float(fn_mu_lowT_array(t, q))
 
 
 def ckn_mu_lowT(t: float, q: float) -> float:
@@ -644,11 +621,9 @@ def ckn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
     return fn_mu_numeric(t, 1.0 / q, sommerfeld_terms)
 
 
-# Each `*_mu_*_array` twin returns the array of its scalar form over t and q
-# broadcast against each other, bit for bit: the same `math` calls and
-# float powers per element, the scalar's arithmetic in its order, under
-# np.errstate(all="ignore").  A ValueError of the scalar form at any point is
-# raised for the whole array, naming the first bad t.
+# Each `*_mu_*_array` kernel maps t and q broadcast against each other, under
+# np.errstate(all="ignore").  A ValueError at any point is raised for the
+# whole array, naming the first bad t.
 
 
 def _t_array(t) -> np.ndarray:
@@ -675,8 +650,7 @@ def fn_mu_lowT_array(t, q) -> np.ndarray:
 
 
 def _inverse_q(q) -> np.ndarray:
-    """1/q per element, as the CKN forms map q; it overflows to inf silently,
-    and the FN form then rejects it."""
+    """1/q per element, as the CKN forms map q (inf past a double: the FN form rejects it)."""
     with np.errstate(all="ignore"):
         return 1.0 / _q_array(q)
 
@@ -737,51 +711,36 @@ def ckn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelThermo:
-    """The thermodynamic facts of one model; None marks a fact it lacks."""
+    """The thermodynamic facts of one model as array kernels; None marks a fact it lacks."""
 
-    distribution: Callable | None = None  # n(eta, q)
-    q1_limit: Callable | None = None  # n(eta) in its place at q = 1
     distribution_array: Callable | None = None  # (eta array, q) -> (n, mask or None)
-    q1_limit_array: Callable | None = None  # (eta array) -> (n, None) at q = 1
+    q1_limit_array: Callable | None = None  # (eta array) -> (n, None), in its place at q = 1
     singular: Callable = lambda q: ()  # q != 1 -> abscissae where n diverges or jumps
-    eos: Callable | None = None  # EosPoint(q, z, g_mult, tol)
     eos_array: Callable | None = None  # (q, z array, g_mult, tol) -> (EosPoint, skipped)
-    mu: tuple | None = None  # (closed form, numeric) mu(t, q)
-    mu_array: tuple | None = None  # their twins, mu(t array, q array) broadcast
+    mu_array: tuple | None = None  # (closed form, numeric) mu(t array, q array) broadcast
     fn_q: Callable | None = None  # q -> FN deformation of the same gas (virial series)
 
 
 MODELS = {
     Model.FN: ModelThermo(
-        fn_distribution,
-        distribution_array=fn_distribution_array,
-        eos=lambda q, z, g_mult, tol: fn_eos(q, z, tol),
+        fn_distribution_array,
         eos_array=lambda q, z, g_mult, tol: fn_eos_array(q, z, tol),
-        mu=(fn_mu_lowT, fn_mu_numeric),
         mu_array=(fn_mu_lowT_array, fn_mu_numeric_array),
         fn_q=lambda q: q,
     ),
     Model.CKN: ModelThermo(
-        ckn_distribution,
-        distribution_array=ckn_distribution_array,
-        eos=lambda q, z, g_mult, tol: ckn_eos(q, z, tol),
+        ckn_distribution_array,
         eos_array=lambda q, z, g_mult, tol: ckn_eos_array(q, z, tol),
-        mu=(ckn_mu_lowT, ckn_mu_numeric),
         mu_array=(ckn_mu_lowT_array, ckn_mu_numeric_array),
         fn_q=lambda q: 1.0 / q,
     ),
     Model.PVC: ModelThermo(
-        pvc_distribution,
-        q1_limit_distribution,
         pvc_distribution_array,
         q1_limit_distribution_array,
         singular=lambda q: (math.log(1.0 / q),),
-        eos=pvc_eos,
         eos_array=pvc_eos_array,
     ),
     Model.VPJC: ModelThermo(
-        vpjc_distribution,
-        q1_limit_distribution,
         vpjc_distribution_array,
         q1_limit_distribution_array,
         singular=lambda q: (0.0,),

@@ -244,53 +244,48 @@ def check_series(seed=0, **_):
 def check_thermo(seed=0, **_):
     rec = _Recorder()
     etas = np.linspace(-10.0, 10.0, 201)
-    worst = 0.0
-    for eta in etas:
-        ref = thermo.q1_limit_distribution(float(eta))
-        worst = max(
-            worst,
-            abs(thermo.fn_distribution(float(eta), 1.0) - ref),
-            abs(thermo.ckn_distribution(float(eta), 1.0) - ref),
-        )
+    ref, _ = thermo.q1_limit_distribution_array(etas)
+    worst = max(
+        float(np.max(np.abs(thermo.fn_distribution_array(etas, 1.0)[0] - ref))),
+        float(np.max(np.abs(thermo.ckn_distribution_array(etas, 1.0)[0] - ref))),
+    )
     rec.residual("undeformed_limits", worst, 1e-14)
+    # every closed form at the points below, one kernel call per (model, q)
+    ratio_etas = (0.5, 1.0, 2.0, 4.0)
+    keys = ("high", "low", "zero", *ratio_etas)
+    n = {model: {} for model in (Model.FN, Model.CKN, Model.PVC, Model.VPJC)}
     for q in _Q_GRID:
-        crossing = thermo.vpjc_zero_crossing(q)
-        rec.residual(
-            f"vpjc_crossing_value_q{q}", thermo.vpjc_distribution(crossing, q), 1e-12
-        )
+        points = np.array([40.0, -40.0, thermo.vpjc_zero_crossing(q), *ratio_etas])
+        for model, by_q in n.items():
+            values, _ = thermo.MODELS[model].distribution_array(points, q)
+            by_q[q] = dict(zip(keys, values.tolist()))
+    fn, ckn, pvc, vpjc = n.values()
+    for q in _Q_GRID:
+        rec.residual(f"vpjc_crossing_value_q{q}", vpjc[q]["zero"], 1e-12)
         rec.expect(
             f"step_high_eta_q{q}",
-            thermo.fn_distribution(40.0, q) < 1e-15
-            and thermo.ckn_distribution(40.0, q) < 1e-15
-            and thermo.vpjc_distribution(40.0, q) < 1e-15
-            and thermo.pvc_distribution(40.0, q) < 1e-14,
+            fn[q]["high"] < 1e-15
+            and ckn[q]["high"] < 1e-15
+            and vpjc[q]["high"] < 1e-15
+            and pvc[q]["high"] < 1e-14,
         )
         rec.expect(
             f"step_low_eta_q{q}",
-            abs(thermo.fn_distribution(-40.0, q) - 1.0) < 1e-15
-            and abs(thermo.ckn_distribution(-40.0, q) - 1.0) < 1e-15,
+            abs(fn[q]["low"] - 1.0) < 1e-15 and abs(ckn[q]["low"] - 1.0) < 1e-15,
         )
     for eta in (0.5, 1.0, 2.0):
-        ckn_vals = [thermo.ckn_distribution(eta, q) for q in (0.9, 0.5, 0.3)]
-        fn_vals = [thermo.fn_distribution(eta, q) for q in (0.9, 0.5, 0.3)]
-        vpjc_vals = [thermo.vpjc_distribution(eta, q) for q in (0.9, 0.5, 0.3)]
+        ckn_vals = [ckn[q][eta] for q in (0.9, 0.5, 0.3)]
+        fn_vals = [fn[q][eta] for q in (0.9, 0.5, 0.3)]
+        vpjc_vals = [vpjc[q][eta] for q in (0.9, 0.5, 0.3)]
         rec.expect(f"ckn_monotone_eta{eta}", ckn_vals[0] < ckn_vals[1] < ckn_vals[2])
         rec.expect(f"fn_monotone_eta{eta}", fn_vals[0] > fn_vals[1] > fn_vals[2])
         rec.expect(f"vpjc_monotone_eta{eta}", vpjc_vals[0] > vpjc_vals[1] > vpjc_vals[2])
     for q in _Q_GRID:
-        for eta in (0.5, 1.0, 2.0, 4.0):
+        for eta in ratio_etas:
             n_vpjc = thermo.occupation_ratio_solve(Model.VPJC, eta, q)
-            rec.residual(
-                f"ratio_vpjc_q{q}_eta{eta}",
-                abs(n_vpjc - thermo.vpjc_distribution(eta, q)),
-                1e-10,
-            )
+            rec.residual(f"ratio_vpjc_q{q}_eta{eta}", abs(n_vpjc - vpjc[q][eta]), 1e-10)
             n_pvc = thermo.occupation_ratio_solve(Model.PVC, eta, q)
-            rec.residual(
-                f"ratio_pvc_q{q}_eta{eta}",
-                abs(abs(n_pvc) - thermo.pvc_distribution(eta, q)),
-                1e-10,
-            )
+            rec.residual(f"ratio_pvc_q{q}_eta{eta}", abs(abs(n_pvc) - pvc[q][eta]), 1e-10)
         for eta in (1.0, 2.0, 4.0):
             trace = thermo.exact_trace_occupation(Model.VPJC, q, eta, n_max=60)
             rec.residual(f"trace_vpjc_q{q}_eta{eta}", trace.identity_residual, 1e-6)
@@ -330,15 +325,15 @@ def check_thermo(seed=0, **_):
     # entropy direction recorded, not asserted: the per-volume PVC entropy
     # form carries no -ln(z) term, and the measured direction flips
     rec.expect("fn_pvc_entropy_recorded", "fn_entropy_lower" in comparison)
-    for q, t in ((0.5, 0.05), (1.0, 0.05), (2.0, 0.05)):
-        numeric = thermo.fn_mu_numeric(t, q)
-        closed = thermo.fn_mu_lowT(t, q)
+    mu_qs = (0.5, 1.0, 2.0)
+    mu = {q: thermo.fn_mu_numeric(0.05, q) for q in mu_qs}
+    for q, closed in zip(mu_qs, thermo.fn_mu_lowT_array(0.05, np.array(mu_qs)).tolist()):
         rec.expect(
             f"mu_agreement_q{q}",
-            abs(numeric - closed) / abs(closed) < 1e-3,
-            f"numeric {numeric} vs closed {closed}",
+            abs(mu[q] - closed) / abs(closed) < 1e-3,
+            f"numeric {mu[q]} vs closed {closed}",
         )
-    shift = thermo.fn_mu_numeric(0.05, 1.0) - thermo.fn_mu_numeric(0.05, 2.0)
+    shift = mu[1.0] - mu[2.0]
     rec.residual("mu_q_shift", abs(shift - 0.05 * math.log(2.0)), 1e-4)
     return rec.summary()
 

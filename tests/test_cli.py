@@ -22,12 +22,26 @@ from qfermi import Model, SingularPointError, thermo, verify
 from qfermi.cli import _fmt, _write_csv, main
 from qfermi.thermo import (
     ckn_distribution,
+    ckn_eos,
+    ckn_mu_lowT,
+    ckn_mu_numeric,
     fn_distribution,
     fn_distribution_array,
+    fn_eos,
+    fn_mu_lowT,
+    fn_mu_numeric,
     pvc_distribution,
+    pvc_eos,
     q1_limit_distribution,
     vpjc_distribution,
 )
+
+# the public scalar forms of each model, as the point-by-point references read them
+DISTRIBUTIONS = {Model.FN: fn_distribution, Model.CKN: ckn_distribution,
+                 Model.PVC: pvc_distribution, Model.VPJC: vpjc_distribution}
+MU = {Model.FN: (fn_mu_lowT, fn_mu_numeric), Model.CKN: (ckn_mu_lowT, ckn_mu_numeric)}
+EOS = {Model.FN: lambda q, z, g_mult, tol: fn_eos(q, z, tol),
+       Model.CKN: lambda q, z, g_mult, tol: ckn_eos(q, z, tol), Model.PVC: pvc_eos}
 
 
 def read_csv(path):
@@ -47,12 +61,12 @@ def scalar_dist(model, qs, grid, xi=0.0, abscissa="eta"):
     record = thermo.MODELS[model]
     header, columns, singular = [abscissa], [], []
     for q in qs:
-        if q == 1.0 and record.q1_limit is not None:
+        if q == 1.0 and record.q1_limit_array is not None:
             header.append("n_q1_limit")
-            columns.append(record.q1_limit)
+            columns.append(q1_limit_distribution)
         else:
             header.append(f"n_q{q:g}")
-            columns.append(lambda eta, q=q: record.distribution(eta, q))
+            columns.append(lambda eta, q=q: DISTRIBUTIONS[model](eta, q))
             singular += [s + xi for s in record.singular(q)]
     lines, moved, empty = [",".join(header)], 0, 0
     try:
@@ -196,6 +210,17 @@ class TestVirial:
 
     def test_model_restriction(self):
         assert main(["virial", "--model", "pvc"]) == 2
+
+    @pytest.mark.parametrize("model,q,orders", [("fn", "1e60", "6"), ("ckn", "1e-200", "3"),
+                                                 ("fn", "1e-60", "6")])
+    def test_overflow_is_exit_two(self, capsys, model, q, orders):
+        # y**orders overflows (the first two) or a coefficient does (a6 was nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["virial", "--model", model, "--q", q, "--orders", orders]) == 2
+        assert capsys.readouterr().err == (
+            f"error: virial coefficients to order {orders} overflow a double at q = {float(q)}\n"
+        )
 
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "virial.txt"
@@ -440,8 +465,7 @@ class TestPinnedBytes:
         ],
     )
     def test_columns_are_the_public_scalar_distributions(self, tmp_path, model, q_text, grid):
-        scalar = {"fn": fn_distribution, "ckn": ckn_distribution,
-                  "pvc": pvc_distribution, "vpjc": vpjc_distribution}[model]
+        scalar = DISTRIBUTIONS[Model.from_name(model)]
         singular = {"fn": lambda q: [], "ckn": lambda q: [],
                     "pvc": lambda q: [math.log(1.0 / q)], "vpjc": lambda q: [0.0]}[model]
         qs = [float(Fraction(text)) for text in q_text.split(",")]
@@ -515,16 +539,32 @@ class TestArrayDist:
         )
 
     def test_tiny_q_prints_no_numpy_warning(self, tmp_path):
+        # 6e-309 is about the least q whose 1/q is finite; at both tiny q the
+        # PVC quotients of the eta < 0 points overflow, and their logs are
+        # taken apart
         src = os.path.dirname(os.path.dirname(qfermi.__file__))
-        argv = ["dist", "--model", "pvc", "--q", "5e-324,1e-300,0.5", "--grid", "-3:3:7"]
+        argv = ["dist", "--model", "pvc", "--q", "6e-309,1e-300,0.5", "--grid", "-800:3:7"]
         proc = subprocess.run(
             [sys.executable, "-m", "qfermi", *argv, "--out", "d.csv"], cwd=tmp_path,
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-        expected = scalar_dist(Model.PVC, [5e-324, 1e-300, 0.5], grid_of("-3:3:7"))
+        expected = scalar_dist(Model.PVC, [6e-309, 1e-300, 0.5], grid_of("-800:3:7"))
         assert (tmp_path / "d.csv").read_bytes() == expected[2]
+        assert b"inf" not in expected[2]
+
+    def test_pvc_q_without_a_finite_inverse_is_exit_two(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(qfermi.__file__))
+        argv = ["dist", "--model", "pvc", "--q", "0.5,5e-324", "--grid", "-3:3:7"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfermi", *argv, "--out", "d.csv"], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        message = "error: the PVC distribution needs a finite 1/q, got q = 5e-324\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert not (tmp_path / "d.csv").exists()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -611,7 +651,7 @@ def scalar_table(header, rows_of):
 
 def scalar_mu(model, qs, grid):
     """`mu` table made cell by cell from the public scalar forms."""
-    closed, numeric = thermo.MODELS[model].mu
+    closed, numeric = MU[model]
     header = ["t"] + [f"mu_{kind}_q{q:g}" for q in qs for kind in ("closed", "numeric")]
 
     def rows():
@@ -623,7 +663,7 @@ def scalar_mu(model, qs, grid):
 
 def scalar_eos(model, q, grid, tol=1e-10, g_mult=1.0):
     """`eos` table of one q made point by point from the public scalar form."""
-    eos = thermo.MODELS[model].eos
+    eos = EOS[model]
 
     def rows():
         out, skipped = [], 0

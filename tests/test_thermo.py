@@ -2,8 +2,10 @@
 
 import math
 import re
+import warnings
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from qfermi import (
     build_fn_multimode,
     build_single_mode,
     ckn_distribution,
+    ckn_distribution_array,
     ckn_eos,
     ckn_eos_array,
     ckn_mu_lowT,
@@ -24,6 +27,7 @@ from qfermi import (
     ckn_mu_numeric_array,
     exact_trace_occupation,
     fn_distribution,
+    fn_distribution_array,
     fn_eos,
     fn_eos_array,
     fn_mu_lowT,
@@ -33,16 +37,19 @@ from qfermi import (
     fn_pvc_comparison,
     occupation_ratio_solve,
     pvc_distribution,
+    pvc_distribution_array,
     pvc_eos,
     pvc_eos_array,
     q1_limit_distribution,
+    q1_limit_distribution_array,
     spectrum_of_number_operator,
     virial_coefficients,
     vpjc_distribution,
     vpjc_distribution_array,
     vpjc_zero_crossing,
 )
-from qfermi.thermo import MODELS
+from qfermi.models import require_positive_q
+from qfermi.thermo import MODELS, _require_open_unit_with_limit_hint, _validate_t
 
 A2_TARGET = 2.0**-2.5
 A3_TARGET = 0.125 - 2.0 * 3.0**-2.5
@@ -354,6 +361,17 @@ class TestVirial:
         a4_deformed = virial_coefficients(Model.FN, 0.5, 4)[3]
         assert a4_deformed == pytest.approx(a4_plain, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "model,q,orders", [(Model.FN, 1e60, 6), (Model.CKN, 1e-200, 3), (Model.FN, 1e-60, 6)]
+    )
+    def test_overflow_is_a_value_error(self, model, q, orders):
+        # y**orders overflows (the first two), or a coefficient does (a6 was nan)
+        message = f"virial coefficients to order {orders} overflow a double at q = {q}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                virial_coefficients(model, q, orders)
+
     def test_order_limits(self):
         with pytest.raises(ValueError):
             virial_coefficients(Model.FN, 0.5, 1)
@@ -361,6 +379,67 @@ class TestVirial:
             virial_coefficients(Model.FN, 0.5, 7)
         with pytest.raises(ValueError):
             virial_coefficients(Model.VPJC, 0.5, 2)
+
+
+# the numpy forms of the virial reversion that the list forms replaced, kept
+# verbatim as the reference: the same products and sums in the same order
+
+
+def _reference_poly_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    out = np.zeros(order + 1)
+    for i in range(min(a.size, order + 1)):
+        if a[i] == 0.0:
+            continue
+        width = min(b.size, order + 1 - i)
+        out[i : i + width] += a[i] * b[:width]
+    return out
+
+
+def _reference_virial(y: float, orders: int) -> np.ndarray:
+    density = np.zeros(orders + 1)
+    pressure = np.zeros(orders + 1)
+    for l in range(1, orders + 1):
+        sign = 1.0 if l % 2 else -1.0
+        density[l] = sign * y**l / l**1.5
+        pressure[l] = sign * y**l / l**2.5
+    e = np.zeros(orders + 1)  # the series inverse of the density
+    e[1] = 1.0 / density[1]
+    for m in range(2, orders + 1):
+        power = e.copy()
+        total = 0.0
+        for j in range(2, m + 1):
+            power = _reference_poly_mul(power, e, orders)
+            total += density[j] * power[m]
+        e[m] = -total / density[1]
+    coeffs = np.zeros(orders + 1)  # composed into the pressure series
+    power = np.zeros(orders + 1)
+    power[0] = 1.0
+    for l in range(1, orders + 1):
+        power = _reference_poly_mul(power, e, orders)
+        coeffs += pressure[l] * power
+    return coeffs[1 : orders + 1].copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from([Model.FN, Model.CKN]),
+    log_q=st.floats(min_value=-70.0, max_value=70.0),
+    orders=st.integers(2, 6),
+)
+@example(model=Model.FN, log_q=0.0, orders=6)
+@example(model=Model.FN, log_q=-60.0, orders=6)
+def test_virial_is_the_numpy_reference_bit_for_bit(model, log_q, orders):
+    q = 10.0**log_q
+    with np.errstate(all="ignore"):
+        try:
+            expected = _reference_virial(MODELS[model].fn_q(q), orders)
+        except OverflowError:  # y**l
+            expected = np.array([math.inf])
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="overflow a double"):
+            virial_coefficients(model, q, orders)
+        return
+    assert _bits(virial_coefficients(model, q, orders)) == _bits(expected)
 
 
 class TestChemicalPotential:
@@ -413,44 +492,45 @@ def test_overflowing_trace_ladder_is_a_typed_error():
         exact_trace_occupation(Model.PVC, 0.3, 1.0, n_max=600)
 
 
+# the public scalar forms of each model's record
+DISTRIBUTIONS = {Model.FN: fn_distribution, Model.CKN: ckn_distribution,
+                 Model.PVC: pvc_distribution, Model.VPJC: vpjc_distribution}
+EOS = {Model.FN: lambda q, z, g_mult, tol: fn_eos(q, z, tol),
+       Model.CKN: lambda q, z, g_mult, tol: ckn_eos(q, z, tol), Model.PVC: pvc_eos}
+
+
 class TestModelRecords:
     def test_singular_abscissae_are_where_the_distribution_breaks(self):
         for model, q in ((Model.PVC, 0.5), (Model.VPJC, 0.5), (Model.VPJC, 0.3)):
-            record = MODELS[model]
-            (point,) = record.singular(q)
+            (point,) = MODELS[model].singular(q)
             with pytest.raises(SingularPointError):
-                record.distribution(point, q)
+                DISTRIBUTIONS[model](point, q)
+            assert MODELS[model].distribution_array(np.array([point]), q)[1].tolist() == [True]
         for model in (Model.FN, Model.CKN):
             assert MODELS[model].singular(0.5) == ()
 
     def test_q1_limit_stands_in_only_where_the_closed_form_stops(self):
         for model, record in MODELS.items():
-            assert (record.distribution_array is None) == (record.distribution is None)
-            assert (record.q1_limit_array is None) == (record.q1_limit is None)
-            if record.distribution is None:
-                assert model is Model.ARIK_COON
+            assert (record.distribution_array is None) == (model not in DISTRIBUTIONS)
+            if record.distribution_array is None:
+                assert model is Model.ARIK_COON and record.q1_limit_array is None
                 continue
-            if record.q1_limit is None:
-                assert record.distribution(0.7, 1.0) == q1_limit_distribution(0.7)
+            if record.q1_limit_array is None:
+                assert DISTRIBUTIONS[model](0.7, 1.0) == q1_limit_distribution(0.7)
             else:
-                assert record.q1_limit is q1_limit_distribution
+                assert record.q1_limit_array is q1_limit_distribution_array
                 with pytest.raises(ValueError, match="q1_limit"):
-                    record.distribution(0.7, 1.0)
+                    DISTRIBUTIONS[model](0.7, 1.0)
 
     def test_eos_mu_and_virial_entries(self):
-        assert MODELS[Model.FN].eos(0.5, 0.3, 2.0, 1e-10) == fn_eos(0.5, 0.3, 1e-10)
-        assert MODELS[Model.CKN].eos(2.0, 0.3, 2.0, 1e-10) == ckn_eos(2.0, 0.3, 1e-10)
-        assert MODELS[Model.PVC].eos(0.5, 0.3, 2.0, 1e-10) == pvc_eos(0.5, 0.3, 2.0, 1e-10)
-        assert MODELS[Model.CKN].mu == (ckn_mu_lowT, ckn_mu_numeric)
         assert MODELS[Model.CKN].mu_array == (ckn_mu_lowT_array, ckn_mu_numeric_array)
         for model, record in MODELS.items():
-            assert (record.eos_array is None) == (record.eos is None)
-            assert (record.mu_array is None) == (record.mu is None)
-            if record.eos is not None:
+            assert (record.eos_array is None) == (model not in EOS)
+            if record.eos_array is not None:
                 state, skipped = record.eos_array(0.5, np.array([0.3]), 2.0, 1e-10)
                 assert not skipped[0]
                 assert [float(v[0]) for v in astuple(state)] == list(
-                    astuple(record.eos(0.5, 0.3, 2.0, 1e-10))
+                    astuple(EOS[model](0.5, 0.3, 2.0, 1e-10))
                 )
         for model in (Model.FN, Model.CKN):
             y = MODELS[model].fn_q(0.7)
@@ -458,21 +538,107 @@ class TestModelRecords:
                 virial_coefficients(model, 0.7, 4), virial_coefficients(Model.FN, y, 4)
             )
         for model in (Model.PVC, Model.VPJC, Model.ARIK_COON):
-            assert MODELS[model].mu is None and MODELS[model].fn_q is None
-        assert MODELS[Model.VPJC].eos is None and MODELS[Model.ARIK_COON].eos is None
+            assert MODELS[model].mu_array is None and MODELS[model].fn_q is None
+        assert MODELS[Model.VPJC].eos_array is None
+        assert MODELS[Model.ARIK_COON].eos_array is None
 
 
-# (scalar, array twin, q strategy) for each distribution entry of MODELS
+# ---------------------------------------------------------------------------
+# the `math` forms that the distribution and mu_lowT kernels replaced, kept
+# verbatim as references: every kernel cell and public scalar equals them bit
+# for bit, except cells whose quotient overflowed to inf in them
+
+
+def _reference_require_eta(eta: float) -> None:
+    if eta != eta:
+        raise ValueError("distribution argument eta must not be NaN")
+
+
+def _reference_fn_distribution(eta: float, q: float) -> float:
+    """Mean occupation q / (exp(eta) + q) of the multimode FN gas."""
+    require_positive_q(q)
+    _reference_require_eta(eta)
+    if eta > 0.0:
+        w = math.exp(-eta)
+        return q * w / (1.0 + q * w)
+    return q / (math.exp(eta) + q)
+
+
+def _reference_ckn_distribution(eta: float, q: float) -> float:
+    require_positive_q(q)
+    return _reference_fn_distribution(eta, 1.0 / q)
+
+
+def _reference_q1_limit_distribution(eta: float) -> float:
+    """Plain Fermi-Dirac occupation 1 / (exp(eta) + 1)."""
+    _reference_require_eta(eta)
+    if eta > 0.0:
+        w = math.exp(-eta)
+        return w / (1.0 + w)
+    return 1.0 / (math.exp(eta) + 1.0)
+
+
+def _reference_pvc_distribution(eta: float, q: float) -> float:
+    """PVC mean occupation; singular where exp(eta) = 1/q."""
+    _require_open_unit_with_limit_hint(q, "PVC")
+    _reference_require_eta(eta)
+    if eta > 0.0:
+        w = math.exp(-eta)
+        num = abs(1.0 - w / q)
+        den = 1.0 + q * w
+    else:
+        num = abs(math.exp(eta) - 1.0 / q)
+        den = math.exp(eta) + q
+    if num == 0.0:
+        raise SingularPointError(
+            f"PVC distribution is singular at eta = ln(1/q) = {-math.log(q)}"
+        )
+    return abs(math.log(num / den)) / (2.0 * abs(math.log(q)))
+
+
+def _reference_vpjc_distribution(eta: float, q: float) -> float:
+    """VPJC mean occupation; discontinuous (divergent) at eta = 0."""
+    _require_open_unit_with_limit_hint(q, "VPJC")
+    _reference_require_eta(eta)
+    if eta == 0.0:
+        raise SingularPointError("VPJC distribution is discontinuous at eta = 0")
+    if eta > 0.0:
+        num, den = -math.expm1(-eta), 1.0 + q * math.exp(-eta)
+    else:
+        num, den = -math.expm1(eta), math.exp(eta) + q
+    ratio = num / den
+    # a subnormal num over den >= 1 can round to 0; its log is still finite
+    log_ratio = math.log(ratio) if ratio != 0.0 else math.log(num) - math.log(den)
+    return abs(log_ratio) / abs(math.log(q))
+
+
+def _reference_fn_mu_lowT(t: float, q: float) -> float:
+    """Closed-form mu/eps_F = -t ln q + 1 - (pi**2/12) t**2."""
+    _validate_t(t)
+    require_positive_q(q)
+    return -t * math.log(q) + 1.0 - (math.pi**2 / 12.0) * t * t
+
+
+def _reference_ckn_mu_lowT(t: float, q: float) -> float:
+    require_positive_q(q)
+    return _reference_fn_mu_lowT(t, 1.0 / q)
+
+
+# (reference, public scalar, kernel, q strategy) for each distribution of MODELS
 _ANY_Q = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 _UNIT_Q = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
 TWINS = {
-    "fn": (MODELS[Model.FN].distribution, MODELS[Model.FN].distribution_array, _ANY_Q),
-    "ckn": (MODELS[Model.CKN].distribution, MODELS[Model.CKN].distribution_array, _ANY_Q),
-    "pvc": (MODELS[Model.PVC].distribution, MODELS[Model.PVC].distribution_array, _UNIT_Q),
-    "vpjc": (MODELS[Model.VPJC].distribution, MODELS[Model.VPJC].distribution_array,
-             _UNIT_Q),
+    "fn": (_reference_fn_distribution, fn_distribution, MODELS[Model.FN].distribution_array,
+           _ANY_Q),
+    "ckn": (_reference_ckn_distribution, ckn_distribution,
+            MODELS[Model.CKN].distribution_array, _ANY_Q),
+    "pvc": (_reference_pvc_distribution, pvc_distribution,
+            MODELS[Model.PVC].distribution_array, _UNIT_Q),
+    "vpjc": (_reference_vpjc_distribution, vpjc_distribution,
+             MODELS[Model.VPJC].distribution_array, _UNIT_Q),
     "q1_limit": (
-        lambda eta, q: MODELS[Model.VPJC].q1_limit(eta),
+        lambda eta, q: _reference_q1_limit_distribution(eta),
+        lambda eta, q: q1_limit_distribution(eta),
         lambda eta, q: MODELS[Model.VPJC].q1_limit_array(eta),
         st.just(1.0),
     ),
@@ -489,49 +655,155 @@ _ETAS = st.lists(
 )
 
 
+def _outcome(func, *args):
+    """func(*args), or the type and text of the ValueError it raises."""
+    try:
+        return func(*args)
+    except ValueError as exc:  # SingularPointError included
+        return type(exc), str(exc)
+
+
+def _assert_is_the_reference(name, got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    elif want == math.inf and name in ("pvc", "vpjc"):
+        # the reference's quotient overflowed; the kernel takes its logs apart
+        assert math.isfinite(got)
+    else:
+        assert _bits([got]) == _bits([want])
+
+
 @pytest.mark.parametrize("name", sorted(TWINS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_array_twin_is_the_scalar_bit_for_bit(name, data):
-    scalar, twin, q_values = TWINS[name]
+    reference, scalar, twin, q_values = TWINS[name]
     q = data.draw(q_values, label="q")
     etas = data.draw(_ETAS, label="etas")
-    expected, singular, error = [], [], None
-    for eta in etas:
-        try:
-            expected.append(scalar(eta, q))
-            singular.append(False)
-        except SingularPointError:
-            expected.append(math.nan)
-            singular.append(True)
-        except ValueError as exc:  # q outside the domain, or a cell the scalar rejects
-            error = error or exc
-    if error is not None:
-        with pytest.raises(type(error), match=re.escape(str(error))):
+    expected = [_outcome(reference, eta, q) for eta in etas]
+    if name == "pvc" and q <= 2.0**-1024:  # 1/q overflows: now rejected first
+        expected = [(ValueError, f"the PVC distribution needs a finite 1/q, got q = {q}")]
+        expected *= len(etas)
+    for eta, want in zip(etas, expected):
+        _assert_is_the_reference(name, _outcome(scalar, eta, q), want)
+    error = next((w for w in expected if isinstance(w, tuple) and w[0] is ValueError), None)
+    if error is not None:  # q outside the domain, or a cell the kernel rejects
+        with pytest.raises(ValueError, match=re.escape(error[1])):
             twin(np.array(etas), q)
         return
     values, mask = twin(np.array(etas), q)
     mask = np.zeros(len(etas), dtype=bool) if mask is None else mask
-    assert mask.tolist() == singular
-    expected = np.array(expected)
-    assert values[~mask].view(np.int64).tolist() == expected[~mask].view(np.int64).tolist()
+    assert mask.tolist() == [isinstance(w, tuple) for w in expected]
+    for got, want, singular in zip(values.tolist(), expected, mask.tolist()):
+        if not singular:
+            _assert_is_the_reference(name, got, want)
 
 
 @pytest.mark.parametrize("name", sorted(TWINS))
 def test_array_twin_ignores_the_callers_numpy_error_settings(name):
-    scalar, twin, _ = TWINS[name]
-    # q where the scalar form overflows or underflows silently
-    q = {"fn": 5e-324, "ckn": 1e300, "pvc": 5e-324, "vpjc": 5e-324, "q1_limit": 1.0}[name]
+    _, scalar, twin, _ = TWINS[name]
+    # q where the closed form overflows or underflows silently; pvc takes
+    # 1e-300, since 5e-324 has no finite 1/q and is rejected
+    q = {"fn": 5e-324, "ckn": 1e300, "pvc": 1e-300, "vpjc": 5e-324, "q1_limit": 1.0}[name]
     etas = np.array([-800.0, -100.0, -1e-9, 1e-9, 100.0, 700.0, math.inf, -math.inf])
     with np.errstate(all="raise"):
         values, _ = twin(etas, q)
+    assert np.isfinite(values).all()
     assert values.tolist() == [scalar(float(eta), q) for eta in etas]
+
+
+# q log-uniform over (0, max double), with its ends, 1 and the last q below 1
+_LOG_Q = st.one_of(
+    st.floats(min_value=-1074.0, max_value=1024.0, exclude_max=True).map(lambda x: 2.0**x),
+    st.sampled_from([5e-324, 2.0**-1024, 1.0 - 2.0**-53, 1.0, 1.7976931348623157e308]),
+)
+_ANY_ETAS = st.lists(
+    st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, -800.0, 800.0]),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+@settings(max_examples=200, deadline=None)
+@given(q=_LOG_Q, etas=_ANY_ETAS)
+def test_every_result_is_finite_or_a_typed_error(name, q, etas):
+    _, scalar, twin, _ = TWINS[name]
+    model = {"pvc": Model.PVC, "vpjc": Model.VPJC}.get(name)
+
+    def assert_value(value):
+        assert math.isfinite(value) and value >= 0.0
+        if model is None:  # fn, ckn and the q = 1 limit are occupations
+            assert value <= 1.0
+
+    def assert_singular(eta):
+        (point,) = MODELS[model].singular(q)
+        assert abs(eta - point) <= 1e-12 * max(1.0, abs(point))
+
+    for eta in etas:
+        try:
+            assert_value(scalar(eta, q))
+        except SingularPointError:
+            assert_singular(eta)
+        except ValueError:
+            pass
+    try:
+        values, mask = twin(np.array(etas), q)
+    except ValueError as exc:
+        assert not isinstance(exc, SingularPointError)
+        return
+    mask = np.zeros(len(etas), dtype=bool) if mask is None else mask
+    for eta, value, singular in zip(etas, values.tolist(), mask.tolist()):
+        if singular:
+            assert_singular(eta)
+        else:
+            assert_value(value)
+
+
+def _mp_distribution(model, eta, q):
+    """The PVC or VPJC closed form at 50 digits."""
+    with mpmath.workdps(50):
+        e, q = mpmath.exp(mpmath.mpf(eta)), mpmath.mpf(q)
+        if model is Model.PVC:
+            return float(abs(mpmath.log(abs(e - 1 / q) / (e + q))) / (2 * abs(mpmath.log(q))))
+        return float(abs(mpmath.log(abs(e - 1) / (e + q))) / abs(mpmath.log(q)))
+
+
+@pytest.mark.parametrize(
+    "model,q",
+    [(Model.PVC, 1e-200), (Model.PVC, 1e-300), (Model.VPJC, 1e-200), (Model.VPJC, 1e-300),
+     (Model.VPJC, 5e-324)],
+)
+def test_tiny_q_matches_mpmath(model, q):
+    # where exp(eta) < q the quotient overflows once q < ~7.5e-155 (PVC) or
+    # 1/q does (VPJC at 5e-324); both used to read inf there
+    etas = [-1e4, -800.0, -600.0, -400.0, -100.0, -1.0, 0.5, 100.0, 800.0]
+    values, singular = MODELS[model].distribution_array(np.array(etas), q)
+    assert not singular.any()
+    for eta, value in zip(etas, values.tolist()):
+        assert value == pytest.approx(_mp_distribution(model, eta, q), rel=1e-12, abs=1e-15)
+        assert DISTRIBUTIONS[model](eta, q) == value
+
+
+def test_pvc_needs_a_finite_inverse_q():
+    for q in (5e-324, 2.0**-1024):
+        message = re.escape(f"the PVC distribution needs a finite 1/q, got q = {q}")
+        with pytest.raises(ValueError, match=message):
+            pvc_distribution(0.5, q)
+        with pytest.raises(ValueError, match=message):
+            pvc_distribution_array(np.array([0.5]), q)
+    values, _ = pvc_distribution_array(np.array([-800.0, -1.0, 1.0, 800.0]),
+                                       float(np.nextafter(2.0**-1024, 1.0)))
+    assert np.isfinite(values).all()
 
 
 class TestNanAndInfinity:
     @pytest.mark.parametrize("name", sorted(TWINS))
     def test_nan_eta_is_a_value_error(self, name):
-        scalar, twin, _ = TWINS[name]
+        _, scalar, twin, _ = TWINS[name]
         q = 1.0 if name == "q1_limit" else 0.5
         with pytest.raises(ValueError, match="eta must not be NaN"):
             scalar(math.nan, q)
@@ -541,7 +813,7 @@ class TestNanAndInfinity:
     @pytest.mark.parametrize("name", sorted(TWINS))
     @pytest.mark.parametrize("q", [0.3, 0.5])
     def test_infinite_eta_keeps_its_limits(self, name, q):
-        scalar, twin, _ = TWINS[name]
+        _, scalar, twin, _ = TWINS[name]
         q = 1.0 if name == "q1_limit" else q
         assert scalar(math.inf, q) == 0.0
         assert scalar(-math.inf, q) == 1.0
@@ -557,7 +829,7 @@ class TestNanAndInfinity:
 
 @pytest.mark.parametrize("name", sorted(TWINS))
 def test_array_twin_keeps_the_shape_of_eta(name):
-    _, twin, _ = TWINS[name]
+    _, _, twin, _ = TWINS[name]
     q = 1.0 if name == "q1_limit" else 0.5
     grid = np.linspace(-3.0, 3.0, 12)
     flat, flat_mask = twin(grid, q)
@@ -629,7 +901,7 @@ def test_eos_twin_is_the_scalar_bit_for_bit(model, data):
     expected, raised = [], []
     for z in zs:
         try:
-            expected.append(astuple(record.eos(q, z, 1.0, tol)))
+            expected.append(astuple(EOS[model](q, z, 1.0, tol)))
             raised.append(False)
         except SeriesConvergenceError:
             expected.append((math.nan,) * 4)
@@ -651,7 +923,7 @@ def test_eos_twin_raises_the_scalars_value_error(model):
                           (-0.5, [0.3], 1.0), (0.5, [0.3], -1.0)):
         bad = next((z for z in zs if not z > 0.0), zs[0])
         try:
-            record.eos(q, bad, g_mult, 1e-10)
+            EOS[model](q, bad, g_mult, 1e-10)
         except ValueError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 record.eos_array(q, np.array(zs), g_mult, 1e-10)
@@ -679,6 +951,7 @@ _MU_TWINS = {
     "fn": (fn_mu_lowT, fn_mu_numeric, fn_mu_lowT_array, fn_mu_numeric_array),
     "ckn": (ckn_mu_lowT, ckn_mu_numeric, ckn_mu_lowT_array, ckn_mu_numeric_array),
 }
+_MU_REFERENCE = {"fn": _reference_fn_mu_lowT, "ckn": _reference_ckn_mu_lowT}
 
 
 @pytest.mark.parametrize("name", sorted(_MU_TWINS))
@@ -704,6 +977,8 @@ def test_mu_twins_are_the_scalars_bit_for_bit(name, ts, qs, terms):
         got_numeric = numeric_array(t, q, terms)
     assert got_closed.shape == got_numeric.shape == (len(qs), len(ts))
     assert _bits(got_closed) == _bits([[closed(x, y) for x in ts] for y in qs])
+    reference = _MU_REFERENCE[name]
+    assert _bits(got_closed) == _bits([[reference(x, y) for x in ts] for y in qs])
     assert _bits(got_numeric) == _bits([[numeric(x, y, terms) for x in ts] for y in qs])
 
 
@@ -721,3 +996,5 @@ def test_mu_twins_raise_the_scalars_value_error(name, ts, q):
             scalar(bad, q)
         with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
             twin(np.array(ts), q)
+    with pytest.raises(ValueError, match=re.escape(str(_outcome(closed, bad, q)[1]))):
+        _MU_REFERENCE[name](bad, q)
