@@ -27,7 +27,8 @@ public scalar is a one-element call of it (12 to 55 us; a `math` body took
 0.3 to 1.5 us).  The equations of state and the numeric chemical potential
 stay pairs of a scalar and its bit-identical `*_array` twin: a one-element
 twin call costs 17 to 30 times the scalar, and the series benchmark times
-the scalar EOS forms.  `MODELS` holds each model's kernels in one record.
+the scalar EOS forms.  `MODELS` holds each model's kernels in one record,
+with its trace levels and ratio constants, which the trace and solver read.
 
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
@@ -256,55 +257,48 @@ def _bisect_array(func, lo: np.ndarray, hi: np.ndarray, iterations: int = 200) -
 def occupation_ratio_solve(model: Model, eta: float, q: float) -> float:
     """Continuous level n solving [n]/[n+1] = exp(-eta), by bisection.
 
-    The unknown is y = q**n with the staggered sign of the basic numbers
-    fixed by the branch the target falls on.  Restricted to eta > 0, where
-    the branch is unambiguous.  For VPJC the solution is positive and equals
-    the closed-form distribution; for PVC the distribution reports |n|, and
-    on the near branch (0 < eta < ln((1-q**2)/(2q))) the continuous solution
-    itself is negative.
+    With u = (q**n)**k and s = +-1 the ratio is (1 - s u)/(c + s q u), where
+    the record gives c, k and the ratio at u = 0 (VPJC 1, 1, 1; PVC 1/q, 2,
+    q).  s = +1 where exp(-eta) is below that limit, -1 above it, and at it
+    no finite n solves the condition (SingularPointError).  Restricted to
+    eta > 0.  For VPJC n equals the closed-form distribution; for PVC that
+    reports |n|, and on the s = -1 branch n itself is negative.
     """
-    if model not in (Model.PVC, Model.VPJC):
+    ratio = MODELS[model].ratio
+    if ratio is None:
         raise ValueError("ratio solver applies to the PVC and VPJC families")
     require_open_unit_q(q)
     if not eta > 0.0:
         raise ValueError("the ratio condition has a single branch only for eta > 0")
     target = math.exp(-eta)
-    log_q = math.log(q)
-
-    if model is Model.VPJC:
-        # [n] = (1 - y)/(1 + q), [n + 1] = (1 + q y)/(1 + q)
-        func = lambda y: (1.0 - y) / (1.0 + q * y) - target
-        y = _bisect(func, 0.0, 1.0)
-        return math.log(y) / log_q
-
-    if target == q:
-        raise SingularPointError(
-            f"no finite solution at eta = ln(1/q) = {-log_q}"
-        )
-    if target < q:
-        # far branch: [n] = (1/y - y)/(q + 1/q), [n+1] = (1/(q y) + q y)/(q + 1/q)
-        func = lambda y: (1.0 - y * y) / (1.0 / q + q * y * y) - target
-        y = _bisect(func, 0.0, 1.0)
-    else:
-        # near branch: sign-flipped powers; y may exceed 1 (negative n)
-        func = lambda y: (1.0 + y * y) / (1.0 / q - q * y * y) - target
-        y = _bisect(func, 0.0, (1.0 - 1e-14) / q)
-    return math.log(y) / log_q
+    c, k, limit = ratio(q)
+    if target == limit:
+        raise SingularPointError(f"no finite n solves the ratio condition at eta = {eta}, "
+                                 f"q = {q}: exp(-eta) is its n -> infinity limit {limit}")
+    s = 1.0 if target < limit else -1.0
+    # y = q**n, and y**k is y * y**(k - 1) in the closed forms' product order;
+    # for s = -1 the denominator vanishes at y = 1/q
+    func = lambda y: (1.0 - s * y * y ** (k - 1)) / (c + s * q * y * y ** (k - 1)) - target
+    y = _bisect(func, 0.0, 1.0 if s > 0.0 else (1.0 - 1e-14) / q)
+    return math.log(y) / math.log(q)
 
 
 @dataclass(frozen=True)
 class TraceAverages:
-    """Gibbs-trace averages over a Fock basis weighted by exp(-eta N).
+    """Gibbs-trace averages of [N], N and [N+1] weighted by exp(-eta N).
 
-    `identity_residual` is |<shifted> - exp(eta) <deformed>|, which vanishes
-    for the untruncated trace by cyclicity; for truncated ladders it bounds
-    the discarded tail.
+    `identity_residual` is |<[N+1]> - exp(eta) <[N]>|, which vanishes for the
+    untruncated trace by cyclicity; for a truncated ladder it bounds the
+    discarded tail.  `converged` is False where the untruncated trace
+    diverges, by the rule in the model's record (PVC at q < 1: exp(-eta) >= q);
+    the truncated averages are then boundary-dominated.
     """
 
     mean_deformed: float
     mean_number: float
     mean_shifted: float
     identity_residual: float
+    converged: bool
 
 
 def exact_trace_occupation(
@@ -312,51 +306,61 @@ def exact_trace_occupation(
 ) -> TraceAverages:
     """Exact Gibbs averages of [N], N and [N+1] for one mode (or d FN modes).
 
-    VPJC/PVC use a ladder truncated at n_max and need eta > 0; CKN uses its
-    exact two states and FN the exact 2**d-state sums (via occupation
-    multiplicities), both valid for any eta.
-
-    Caveat for PVC: its spectrum grows like q**-n, so the untruncated trace
-    of the deformed occupation converges only for exp(-eta) < q.  Outside
-    that region the truncated averages are returned as computed but are
-    boundary-dominated, and the identity residual grows with n_max instead
-    of shrinking.
+    Each model's record gives levels n = 0..top with a multiplicity m_n,
+    the value [n] and the summed c c* on the level.  VPJC and PVC are
+    ladders cut at top = n_max (m_n = 1, shifted value [n+1]) and need
+    eta > 0; CKN is that ladder at top = 1, spectrum (0, 1, 0); FN has
+    top = d, m_n = C(d, n), [n] = n q**(n-1), shifted value (d - n) q**n.
+    Averages are sum m_n w_n (.) / sum m_n w_n, w_n = exp(-eta (n - r)) with
+    r = top for eta < 0 and 0 otherwise, so no weight exceeds 1; as [0] = 0,
+    exp(eta) <[N]> is that sum with w_(n-1).  A subnormal weight adds up to
+    2**-1075 times the level value.  eta = +-inf gives the limiting state; a
+    NaN eta, or a level or level sum past a double, raises ValueError.
     """
     require_positive_q(q)
-    if model in (Model.VPJC, Model.PVC):
-        if not eta > 0.0:
-            raise ValueError("truncated trace over an unbounded ladder needs eta > 0")
-        levels = np.arange(n_max + 1)
-        g = spectrum(model, q, n_max + 1).values
-        weights = np.exp(-eta * levels)
-        z_sum = float(weights.sum())
-        mean_deformed = float((g[: n_max + 1] * weights).sum() / z_sum)
-        mean_number = float((levels * weights).sum() / z_sum)
-        mean_shifted = float((g[1:] * weights).sum() / z_sum)
-    elif model is Model.CKN:
-        w = math.exp(-eta)
-        z_sum = 1.0 + w
-        mean_deformed = w / z_sum  # level-1 value is 1
-        mean_number = w / z_sum
-        mean_shifted = 1.0 / z_sum  # level-2 value vanishes
-    elif model is Model.FN:
-        if d != int(d) or not 1 <= d <= 12:
-            raise ValueError(f"mode count must lie in 1..12, got {d!r}")
-        d = int(d)
-        x = math.exp(-eta)
-        weights = [math.comb(d, n) * x**n for n in range(d + 1)]
-        z_sum = math.fsum(weights)
-        mean_deformed = (
-            math.fsum(weights[n] * n * q ** (n - 1) for n in range(1, d + 1)) / z_sum
-        )
-        mean_number = math.fsum(weights[n] * n for n in range(1, d + 1)) / z_sum
-        mean_shifted = (
-            math.fsum(weights[n] * (d - n) * q**n for n in range(d + 1)) / z_sum
-        )
-    else:
+    record = MODELS[model]
+    if record.trace_levels is None:
         raise ValueError(f"no trace rule for model {model}")
-    residual = abs(mean_shifted - math.exp(eta) * mean_deformed)
-    return TraceAverages(mean_deformed, mean_number, mean_shifted, residual)
+    if math.isnan(eta):
+        raise ValueError("trace argument eta must not be NaN")
+    if record.ratio is not None and not eta > 0.0:  # a ladder with no top level
+        raise ValueError("truncated trace over an unbounded ladder needs eta > 0")
+    multiplicity, deformed, shifted = record.trace_levels(q, n_max, d)
+    levels = np.arange(len(multiplicity))
+    eta_w = min(max(eta, -1e308), 1e308)  # at +-inf every other level weighs 0
+    with np.errstate(all="ignore"):
+        w = np.exp(-eta_w * (levels - (levels[-1] if eta < 0.0 else 0)))
+        weights = multiplicity * w
+        z_sum = float(weights.sum())
+        mean_deformed, mean_number, mean_shifted = (
+            float((x * weights).sum() / z_sum) for x in (deformed, levels, shifted))
+        raised = float((multiplicity[1:] * deformed[1:] * w[:-1]).sum() / z_sum)
+    residual = abs(mean_shifted - raised)
+    if not all(map(math.isfinite, (mean_deformed, mean_shifted, residual))):
+        raise ValueError(f"{model.value} trace at q = {q}, eta = {eta} overflows a double")
+    # ratio test: the trace converges for exp(-eta) < lim |[n]/[n+1]|, which is
+    # the record's n -> infinity limit at q < 1 and 1/q above
+    bound = math.inf if record.ratio is None else min(record.ratio(q)[2], 1.0 / q)
+    converged = bound >= 1.0 or math.exp(-eta) < bound
+    return TraceAverages(mean_deformed, mean_number, mean_shifted, residual, converged)
+
+
+def _ladder(model: Model, q: float, top) -> tuple:
+    """Trace levels 0..top of a single mode: m_n = 1, [n] and [n+1]."""
+    if not 0 <= top < math.inf or top != int(top):
+        raise ValueError(f"ladder cutoff must be a nonnegative integer, got {top!r}")
+    g = spectrum(model, q, int(top) + 1).values
+    return np.ones(len(g) - 1), g[:-1], g[1:]
+
+
+def _fn_levels(q: float, d) -> tuple:
+    """Trace levels 0..d of d FN modes by total occupation n."""
+    if not 1 <= d <= 12 or d != int(d):
+        raise ValueError(f"mode count must lie in 1..12, got {d!r}")
+    d = int(d)
+    deformed = spectrum(Model.FN, q, d).values  # raises where d q**(d-1) overflows
+    shifted = np.array([(d - n) * q**n for n in range(d)] + [0.0])
+    return np.array([math.comb(d, n) for n in range(d + 1)], float), deformed, shifted
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +446,8 @@ def pvc_eos(q: float, z: float, g_mult: float = 1.0, tol: float = 1e-10) -> EosP
     closed-form entropy of this gas is stated: note it carries no -ln(z)
     term, unlike the per-particle FN form.
     """
-    if not g_mult > 0.0:
-        raise ValueError(f"multiplicity factor must be positive, got {g_mult}")
+    if not 0.0 < g_mult < math.inf:
+        raise ValueError(f"multiplicity factor must be positive and finite, got {g_mult}")
     h52 = h_gen(2.5, z, q, tol).value
     h32 = h_gen(1.5, z, q, tol).value
     return EosPoint(
@@ -711,7 +715,8 @@ def ckn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelThermo:
-    """The thermodynamic facts of one model as array kernels; None marks a fact it lacks."""
+    """The thermodynamic facts of one model: array kernels, trace levels, ratio
+    constants; None marks a fact it lacks."""
 
     distribution_array: Callable | None = None  # (eta array, q) -> (n, mask or None)
     q1_limit_array: Callable | None = None  # (eta array) -> (n, None), in its place at q = 1
@@ -719,6 +724,8 @@ class ModelThermo:
     eos_array: Callable | None = None  # (q, z array, g_mult, tol) -> (EosPoint, skipped)
     mu_array: tuple | None = None  # (closed form, numeric) mu(t array, q array) broadcast
     fn_q: Callable | None = None  # q -> FN deformation of the same gas (virial series)
+    trace_levels: Callable | None = None  # (q, n_max, d) -> (m_n, [n], shifted) at n = 0..top
+    ratio: Callable | None = None  # q -> (c, k, n -> inf limit) of [n]/[n+1]; unbounded ladders
 
 
 MODELS = {
@@ -727,23 +734,29 @@ MODELS = {
         eos_array=lambda q, z, g_mult, tol: fn_eos_array(q, z, tol),
         mu_array=(fn_mu_lowT_array, fn_mu_numeric_array),
         fn_q=lambda q: q,
+        trace_levels=lambda q, n_max, d: _fn_levels(q, d),
     ),
     Model.CKN: ModelThermo(
         ckn_distribution_array,
         eos_array=lambda q, z, g_mult, tol: ckn_eos_array(q, z, tol),
         mu_array=(ckn_mu_lowT_array, ckn_mu_numeric_array),
         fn_q=lambda q: 1.0 / q,
+        trace_levels=lambda q, n_max, d: _ladder(Model.CKN, q, 1),
     ),
     Model.PVC: ModelThermo(
         pvc_distribution_array,
         q1_limit_distribution_array,
         singular=lambda q: (math.log(1.0 / q),),
         eos_array=pvc_eos_array,
+        trace_levels=lambda q, n_max, d: _ladder(Model.PVC, q, n_max),
+        ratio=lambda q: (1.0 / q, 2, q),
     ),
     Model.VPJC: ModelThermo(
         vpjc_distribution_array,
         q1_limit_distribution_array,
         singular=lambda q: (0.0,),
+        trace_levels=lambda q, n_max, d: _ladder(Model.VPJC, q, n_max),
+        ratio=lambda q: (1.0, 1, 1.0),
     ),
     Model.ARIK_COON: ModelThermo(),
 }

@@ -192,6 +192,12 @@ class TestOccupationRatio:
         with pytest.raises(SingularPointError):
             occupation_ratio_solve(Model.PVC, math.log(2.0), 0.5)
 
+    def test_eta_below_rounding_names_eta_and_q(self):
+        # exp(-eta) rounds to 1, the VPJC ratio at n -> infinity: the root is
+        # y = 0, where math.log used to raise a bare "math domain error"
+        with pytest.raises(SingularPointError, match=r"eta = 1e-300, q = 0\.5"):
+            occupation_ratio_solve(Model.VPJC, 1e-300, 0.5)
+
 
 class TestExactTrace:
     def test_vpjc_identity_residual(self):
@@ -267,6 +273,38 @@ class TestExactTrace:
         small = exact_trace_occupation(Model.PVC, 0.3, 1.0, n_max=40)
         large = exact_trace_occupation(Model.PVC, 0.3, 1.0, n_max=60)
         assert large.identity_residual > small.identity_residual > 1.0
+        assert not small.converged and not large.converged
+
+    @pytest.mark.parametrize(
+        "model,q,etas",
+        [(Model.PVC, 0.3, (1.0, 2.0, 4.0)), (Model.PVC, 0.5, (0.5, 1.0, 2.0)),
+         (Model.PVC, 0.9, (0.05, 1.0)), (Model.PVC, 2.0, (0.5, 1.0)),
+         (Model.VPJC, 0.5, (1e-3, 1.0)), (Model.VPJC, 2.0, (0.5, 1.0)),
+         (Model.VPJC, 3.0, (0.9, 1.5))],
+    )
+    def test_converged_flag_tracks_the_residual(self, model, q, etas):
+        # a ladder whose levels grow like g**n converges for exp(-eta) g < 1:
+        # there the residual (the discarded tail) shrinks as the cutoff
+        # grows, elsewhere it grows
+        growth = max(q, 1.0 / q) if model is Model.PVC else max(q, 1.0)
+        for eta in etas:
+            short = exact_trace_occupation(model, q, eta, n_max=40)
+            long = exact_trace_occupation(model, q, eta, n_max=80)
+            assert short.converged is long.converged is (math.exp(-eta) * growth < 1.0)
+            if long.converged:
+                assert long.identity_residual <= short.identity_residual
+            else:
+                assert long.identity_residual > short.identity_residual
+
+    @pytest.mark.parametrize("model", [Model.FN, Model.CKN])
+    def test_finite_level_tables_always_converge(self, model):
+        for q, eta in ((0.3, -40.0), (0.5, 0.0), (2.0, 3.0), (1e6, -800.0)):
+            assert exact_trace_occupation(model, q, eta, d=2).converged is True
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
+    def test_ladder_cutoff_is_a_nonnegative_integer(self, n_max):
+        with pytest.raises(ValueError, match="ladder cutoff must be a nonnegative integer"):
+            exact_trace_occupation(Model.VPJC, 0.5, 1.0, n_max=n_max)
 
 
 class TestEquationsOfState:
@@ -301,6 +339,13 @@ class TestEquationsOfState:
         assert point.entropy == pytest.approx(
             2.5 * H_52_Z03_Q05 - H_32_Z03_Q05, abs=3e-11
         )
+
+    @pytest.mark.parametrize("g_mult", [math.inf, 0.0, -1.0, math.nan])
+    def test_pvc_multiplicity_is_positive_and_finite(self, g_mult):
+        # an infinite multiplicity used to give an inf entropy
+        message = f"multiplicity factor must be positive and finite, got {g_mult}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pvc_eos(0.5, 0.3, g_mult=g_mult)
 
     def test_pvc_multiplicity_scales_entropy(self):
         base = pvc_eos(0.5, 0.1, 1.0)
@@ -490,6 +535,61 @@ class TestChemicalPotential:
 def test_overflowing_trace_ladder_is_a_typed_error():
     with pytest.raises(ValueError, match="pvc spectrum at q = 0.3: level 590 overflows"):
         exact_trace_occupation(Model.PVC, 0.3, 1.0, n_max=600)
+
+
+def test_overflowing_trace_is_a_typed_error():
+    # FN: q**2 overflows (a raw OverflowError before); PVC: every level is
+    # finite but their weighted sum is not (inf and nan before)
+    with pytest.raises(ValueError, match=r"fn spectrum at q = 1e\+300: level 3 overflows"):
+        exact_trace_occupation(Model.FN, 1e300, 1.0, d=3)
+    with pytest.raises(ValueError, match="pvc trace at q = 0.9, eta = 1e-09 overflows"):
+        exact_trace_occupation(Model.PVC, 0.9, 1e-9, n_max=6735)
+
+
+@pytest.mark.parametrize("model,q,d", [(Model.VPJC, 0.5, 1), (Model.PVC, 0.5, 1),
+                                       (Model.CKN, 2.0, 1), (Model.FN, 0.7, 3)])
+def test_infinite_eta_gives_the_limiting_state(model, q, d):
+    # eta = +inf: the ground state; eta = -inf: the top state of FN and CKN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ground = exact_trace_occupation(model, q, math.inf, n_max=20, d=d)
+        assert astuple(ground) == (0.0, 0.0, d, 0.0, True)
+        if model in (Model.FN, Model.CKN):
+            top = exact_trace_occupation(model, q, -math.inf, d=d)
+            assert astuple(top) == (d * q ** (d - 1), d, 0.0, 0.0, True)
+    with pytest.raises(ValueError, match="eta must not be NaN"):
+        exact_trace_occupation(model, q, math.nan, d=d)
+
+
+def _mp_trace(model, q, eta, d):
+    """The FN (d modes) and CKN trace averages in closed form at 50 digits,
+    with the sum over the levels of m_n |value_n| for each average."""
+    with mpmath.workdps(50):
+        q, x = mpmath.mpf(q), mpmath.exp(-mpmath.mpf(eta))
+        if model is Model.CKN:
+            return (x / (1 + x), x / (1 + x), 1 / (1 + x)), (1.0, 1.0, 1.0)
+        z = (1 + x) ** d
+        means = (d * x * (1 + q * x) ** (d - 1) / z, d * x / (1 + x),
+                 d * (1 + q * x) ** (d - 1) / z)
+        scales = (d * (1 + q) ** (d - 1), d * 2 ** (d - 1), d * (1 + q) ** (d - 1))
+        return means, tuple(float(s) for s in scales)
+
+
+@pytest.mark.parametrize("model,d", [(Model.FN, 1), (Model.FN, 4), (Model.FN, 12),
+                                     (Model.CKN, 1)])
+@pytest.mark.parametrize("q", [0.3, 0.8, 1.3, 5.0])
+@pytest.mark.parametrize("eta", [300.0, -300.0, 705.0, -705.0, 720.0, -720.0])
+def test_extreme_eta_matches_mpmath(model, d, q, eta):
+    # past |eta| = 709.8 these raised OverflowError; eta < 0 weighs the levels
+    # from the top one down.  A weight below the normal range (exp(-720))
+    # carries an absolute rounding of up to 2**-1075, not a relative one, so
+    # each average also allows 2**-1074 times its sum of m_n |value_n|
+    trace = exact_trace_occupation(model, q, eta, d=d)
+    got = (trace.mean_deformed, trace.mean_number, trace.mean_shifted)
+    means, scales = _mp_trace(model, q, eta, d)
+    for value, want, scale in zip(got, means, scales):
+        assert value == pytest.approx(float(want), rel=1e-13, abs=2.0**-1074 * scale)
+    assert trace.identity_residual <= 1e-13 * max(1.0, trace.mean_shifted)
 
 
 # the public scalar forms of each model's record
@@ -763,6 +863,24 @@ def test_every_result_is_finite_or_a_typed_error(name, q, etas):
             assert_value(value)
 
 
+@pytest.mark.parametrize("model", [Model.FN, Model.CKN, Model.PVC, Model.VPJC])
+@settings(max_examples=200, deadline=None)
+@given(q=_LOG_Q, etas=_ANY_ETAS, d=st.integers(1, 12), n_max=st.integers(0, 12))
+def test_every_trace_is_finite_or_a_typed_error(model, q, etas, d, n_max):
+    top = {Model.FN: d, Model.CKN: 1}.get(model, n_max)
+    for eta in etas:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = exact_trace_occupation(model, q, eta, n_max=n_max, d=d)
+        except ValueError as exc:
+            assert not isinstance(exc, SingularPointError)
+            continue
+        assert all(map(math.isfinite, astuple(trace)[:4]))
+        assert 0.0 <= trace.mean_number <= top and trace.identity_residual >= 0.0
+        assert isinstance(trace.converged, bool)
+
+
 def _mp_distribution(model, eta, q):
     """The PVC or VPJC closed form at 50 digits."""
     with mpmath.workdps(50):
@@ -920,7 +1038,7 @@ def test_eos_twin_is_the_scalar_bit_for_bit(model, data):
 def test_eos_twin_raises_the_scalars_value_error(model):
     record = MODELS[model]
     for q, zs, g_mult in ((0.5, [0.3, -0.1, 0.2], 1.0), (0.5, [0.3, math.nan], 1.0),
-                          (-0.5, [0.3], 1.0), (0.5, [0.3], -1.0)):
+                          (-0.5, [0.3], 1.0), (0.5, [0.3], -1.0), (0.5, [0.3], math.inf)):
         bad = next((z for z in zs if not z > 0.0), zs[0])
         try:
             EOS[model](q, bad, g_mult, 1e-10)
