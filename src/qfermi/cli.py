@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import thermo, verify
 from .models import Model
-from .spectra import basic_number
+from .spectra import spectrum
 
 _SINGULAR_OFFSET = 1e-9
 _BLOCK = 4096  # rows formatted per write
@@ -34,8 +33,6 @@ class ConfigError(Exception):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     return format(value, ".12g")
 
 
@@ -59,25 +56,25 @@ def _atomic_output(path: str):
         raise
 
 
-def _format_block(block: list, width: int) -> str:
-    """CSV lines of `block`: one bulk %-format when every row holds `width`
-    numbers, else `_fmt` per cell.  '%.12g' and format(v, '.12g') give the
-    same text for every float and int."""
-    if all(len(row) == width for row in block):
-        flat = [v for row in block for v in row]
-        try:
-            return ((",".join(["%.12g"] * width) + "\n") * len(block)) % tuple(flat)
-        except TypeError:  # an empty (None) or text cell
-            pass
-    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in block)
-
-
-def _write_csv(path: str, header, rows) -> None:
-    rows = iter(rows)
+def _write_csv(path: str, header, table: np.ndarray, holes: np.ndarray | None = None) -> None:
+    """CSV of the 2-D float `table` under `header`, with an empty cell where
+    `holes` is set.  A block of `_BLOCK` rows without a hole is one bulk
+    %-format of its floats; only a block with holes is formatted per cell by
+    `_fmt`.  '%.12g' and format(v, '.12g') give the same text for every
+    float, so the bytes do not depend on where the holes fall."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     with _atomic_output(path) as handle:
         handle.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, _BLOCK)):
-            handle.write(_format_block(block, len(header)))
+        for start in range(0, len(table), _BLOCK):
+            block = table[start : start + _BLOCK]
+            empty = [] if holes is None else np.argwhere(holes[start : start + _BLOCK]).tolist()
+            if not empty:
+                handle.write(line * len(block) % tuple(block.ravel().tolist()))
+                continue
+            rows = block.tolist()
+            for r, c in empty:
+                rows[r][c] = None
+            handle.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _parse_q_list(text: str):
@@ -144,16 +141,6 @@ def _resolve(args, key: str, fallback):
     return fallback
 
 
-def _table_rows(table: np.ndarray, holes: np.ndarray):
-    """Rows of `table` as lists of floats, None where `holes` is set, made
-    one block at a time so the table never exists whole as Python floats."""
-    for i in range(0, len(table), _BLOCK):
-        rows = table[i : i + _BLOCK].tolist()
-        for r, c in np.argwhere(holes[i : i + _BLOCK]).tolist():
-            rows[r][c] = None
-        yield from rows
-
-
 def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> None:
     """CSV of the `model` distribution at eta = x - xi: one row per point x
     of `grid`, one column per q.  Points within 1e-9 of a singular abscissa
@@ -182,7 +169,7 @@ def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> No
         table[:, k], mask = column(eta)
         if mask is not None:
             holes[:, k] = mask
-    _write_csv(path, header, _table_rows(table, holes))
+    _write_csv(path, header, table, holes)
     moved = int(np.count_nonzero(nudged != grid))
     empty = int(np.count_nonzero(holes))
     if moved or empty:
@@ -238,7 +225,7 @@ def _cmd_eos(args) -> int:
         if len(q_list) > 1:
             stem, ext = os.path.splitext(out_base)
             path = f"{stem}_q{q:g}{ext or '.csv'}"
-        _write_csv(path, header, _table_rows(table, holes))
+        _write_csv(path, header, table, holes)
         if skipped.any():
             print(
                 f"note: {model.value} q={q:g}: {np.count_nonzero(skipped)} rows outside "
@@ -293,7 +280,7 @@ def _cmd_mu(args) -> int:
     table[:, 0] = grid
     table[:, 1::2] = closed(grid, qs).T
     table[:, 2::2] = numeric(grid, qs).T
-    _write_csv(out, header, table.tolist())
+    _write_csv(out, header, table)
     return 0
 
 
@@ -305,11 +292,8 @@ def _cmd_spectrum(args) -> int:
         raise ConfigError(f"nmax must be at least 1, got {nmax}")
     out = _resolve(args, "out", f"spectrum_{model.value}.csv")
     header = ["n"] + [f"g_q{q:g}" for q in q_list]
-    rows = [
-        [float(n)] + [basic_number(model, n, q) for q in q_list]
-        for n in range(nmax + 1)
-    ]
-    _write_csv(out, header, rows)
+    levels = [np.arange(nmax + 1.0)] + [spectrum(model, q, nmax).values for q in q_list]
+    _write_csv(out, header, np.column_stack(levels))
     return 0
 
 

@@ -23,12 +23,13 @@ forms for PVC/VPJC arise from the occupation-ratio condition
 by bisection as an independent cross-check.
 
 Each distribution and `fn_mu_lowT` has one body, its array kernel; the
-public scalar is a one-element call of it (12 to 55 us; a `math` body took
-0.3 to 1.5 us).  The equations of state and the numeric chemical potential
-stay pairs of a scalar and its bit-identical `*_array` twin: a one-element
-twin call costs 17 to 30 times the scalar, and the series benchmark times
-the scalar EOS forms.  `MODELS` holds each model's kernels in one record,
-with its trace levels and ratio constants, which the trace and solver read.
+public scalar is a one-element call of it (8 to 18 us on a 2-vCPU Xeon VM,
+where a `math` body takes 0.25 to 0.6 us).  The equations of state and the
+numeric chemical potential stay pairs of a scalar and its bit-identical
+`*_array` twin: a one-element twin call costs 17 to 30 times the scalar,
+and the series benchmark times the scalar EOS forms.  `MODELS` holds each
+model's kernels in one record, with its trace levels and ratio constants,
+which the trace and solver read.
 
 The exact-trace averages deliberately coexist with the closed-form
 distributions: for a single FN mode the exact two-state trace gives the
@@ -66,29 +67,28 @@ def _eta_array(eta) -> np.ndarray:
     return eta
 
 
-def _map(func: Callable, a: np.ndarray) -> np.ndarray:
-    """`func` of each element of `a`, by the scalar `math` function itself:
-    numpy's exp and log differ from it in the last bit on some inputs."""
-    return np.fromiter(map(func, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 # Each `*_distribution_array` kernel returns (values, singular mask or None)
 # for an array of eta, with nan in masked cells; its public scalar is a
 # one-element call that raises SingularPointError where the mask is set.
-# `_map` takes exp, expm1 and log from `math`: the pinned figure and `dist`
-# bytes were made with them.  exp(-|eta|) is exp(-eta) for eta > 0 and
-# exp(eta) otherwise, so one call serves both branches.  The arithmetic runs
-# under np.errstate(all="ignore"), whatever the caller's numpy settings.
+# exp(-|eta|) is exp(-eta) for eta > 0 and exp(eta) otherwise, so one call
+# serves both branches.  The ufuncs and the arithmetic run under
+# np.errstate(all="ignore"), whatever the caller's numpy settings.
+# numpy's float64 exp, expm1 and log are within 1 ulp of the exact value, as
+# its accuracy tests hold them (1e5 random points read at most 0.67, 0.51
+# and 0.53 ulp on its AVX-512 loops), and so are libm's, which `math` calls;
+# the two agree on every cell only where numpy dispatches to libm.
 
 
 def _log_ratio(num: np.ndarray, den: np.ndarray, singular: np.ndarray) -> np.ndarray:
     """log(num / den) per cell, nan where `singular`; where the quotient
-    underflows to 0 or overflows, log(num) - log(den), which stays finite."""
+    underflows to 0 or overflows, log(num) - log(den), which stays finite.
+    Call under np.errstate(all="ignore")."""
     ratio = np.where(singular, np.nan, num / den)
     edge = (ratio == 0.0) | (ratio == math.inf)
-    log_ratio = _map(math.log, np.where(edge, 1.0, ratio))
+    ratio[edge] = 1.0
+    log_ratio = np.log(ratio, out=ratio)  # an array also for 0-d input
     if edge.any():
-        log_ratio[edge] = _map(math.log, num[edge]) - _map(math.log, den[edge])
+        log_ratio[edge] = np.log(num[edge]) - np.log(den[edge])
     return log_ratio
 
 
@@ -101,8 +101,8 @@ def fn_distribution_array(eta, q: float) -> tuple:
     """`fn_distribution` at each point of the array `eta`; no mask."""
     require_positive_q(q)
     eta = _eta_array(eta)
-    e = _map(math.exp, -np.abs(eta))
     with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(eta))
         qe = q * e
         return np.where(eta > 0.0, qe / (1.0 + qe), q / (e + q)), None
 
@@ -157,8 +157,8 @@ def pvc_distribution_array(eta, q: float) -> tuple:
     if q <= 2.0**-1024:
         raise ValueError(f"the PVC distribution needs a finite 1/q, got q = {q}")
     eta = _eta_array(eta)
-    e = _map(math.exp, -np.abs(eta))
     with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(eta))
         positive = eta > 0.0
         num = np.where(positive, np.abs(1.0 - e / q), np.abs(e - 1.0 / q))
         den = np.where(positive, 1.0 + q * e, e + q)
@@ -183,10 +183,9 @@ def vpjc_distribution_array(eta, q: float) -> tuple:
     _require_open_unit_with_limit_hint(q, "VPJC")
     eta = _eta_array(eta)
     t = -np.abs(eta)
-    e = _map(math.exp, t)
-    m = _map(math.expm1, t)
     singular = eta == 0.0
     with np.errstate(all="ignore"):
+        e, m = np.exp(t), np.expm1(t)
         den = np.where(eta > 0.0, 1.0 + q * e, e + q)
         return np.abs(_log_ratio(-m, den, singular)) / abs(math.log(q)), singular
 
@@ -404,6 +403,15 @@ def ckn_eos(q: float, z: float, tol: float = 1e-10) -> EosPoint:
     """CKN gas state: the FN formulas at q -> 1/q (single source of CKN data)."""
     require_positive_q(q)
     return fn_eos(1.0 / q, z, tol)
+
+
+def _map(func: Callable, a: np.ndarray) -> np.ndarray:
+    """`func` of each element of `a`, by the scalar `math` function itself.
+    Only twins of a scalar form that computes in `math`, and whose bits a test
+    pins to it, use this: the entropy's log z in `fn_eos_array` and log q in
+    the `mu` twins (numpy's log differs from `math.log` in the last bit on
+    some inputs)."""
+    return np.fromiter(map(func, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 # Each `*_eos_array` twin returns (EosPoint of arrays, skipped mask) for an
