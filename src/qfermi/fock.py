@@ -25,8 +25,10 @@ FN the targets are bit flips of the state index; a single-mode ladder has
 the one target map n -> n - 1.  Products of such operators stay in this
 form, so no check builds a dense matrix.  The FN relations and their
 covariance read one table of the monomials c_i c_j*, q c_j* c_i and c_i c_j
-as (d, d, 2**d) arrays: O(d**2 2**d) work for all (i, j) at once, and
-O(d**4 2**d) to mix it; a single-mode ladder takes O(dim).  The dense
+as (d, d, 2**d) arrays: O(d**2 2**d) work for all (i, j) at once.  Mixing
+it takes O(d**3 2**d) for the diagonal terms and O(d**5) for the mode pairs,
+which depend on a column only through its class (N, occ_k, occ_l), so one
+column per class suffices; a single-mode ladder takes O(dim).  The dense
 `annihilators` and `number_op` are scattered from the arrays only when
 read, once per set; `creators` are transposed views of `annihilators`.
 
@@ -57,7 +59,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .models import Model, NonNormalizableStateError, require_positive_q
-from .spectra import basic_number, spectrum
+from .spectra import spectrum
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
@@ -182,16 +184,17 @@ def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
     if model is Model.CKN and dim != 2:
         raise ValueError("the CKN Fock space has exactly two states (dim = 2)")
 
-    g = [basic_number(model, n, q) for n in range(dim)]
-    violations = tuple((n, g[n]) for n in range(dim) if g[n] < 0.0)
-    amplitudes = [0.0] + [math.sqrt(gn) if gn >= 0.0 else 0.0 for gn in g[1:]]
+    g = spectrum(model, q, dim - 1).values
+    negative = np.flatnonzero(g < 0.0)
+    violations = tuple(zip(negative.tolist(), g[negative].tolist()))
+    amplitudes = np.sqrt(np.where(g >= 0.0, g, 0.0))  # correctly rounded, as math.sqrt
     levels = np.arange(dim)
     return OperatorSet(
         model=model,
         q=float(q),
         dim=dim,
         targets=_freeze(np.maximum(levels - 1, 0)[None, :]),
-        amplitudes=_freeze(np.array([amplitudes])),
+        amplitudes=_freeze(amplitudes[None, :]),
         occupation=_freeze(levels.astype(float)),
         basis_labels=tuple(range(dim)),
         norm_violations=violations,
@@ -318,6 +321,45 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     return AlgebraReport(residuals, ops.norm_violations, cols - 1)
 
 
+def _class_columns(ops: OperatorSet, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """(pairs, m) array: for each mode pair (k, l), k < l, one basis state of
+    each class (N, occ_k, occ_l) on which some monomial of the pair is nonzero.
+
+    The six entries [k, l, s] and [l, k, s] of the monomial table depend on
+    the column s only through its class, up to the sign (-1)**(occupied modes
+    strictly between k and l), which all six share.  A mixed entry is a sum
+    of such entries times fixed T products, so negating every input negates
+    it exactly: its largest |.| over one column per class is its largest
+    |.| over all columns.  On occ_k = occ_l = 0 every entry is 0, and the
+    remaining 3 (d - 1) classes are the same for every pair.
+    """
+    d, states = ops.n_modes, np.arange(ops.dim)
+    occupied = (states >> np.arange(d - 1, -1, -1)[:, None]) & 1
+    key = (ops.occupation.astype(int) * 2 + occupied[k]) * 2 + occupied[l]
+    first = np.full((len(k), 4 * (d + 1)), -1)
+    first[np.arange(len(k))[:, None], key] = states  # any member represents its class
+    present = (first >= 0).all(axis=0) & (np.arange(4 * (d + 1)) % 4 > 0)
+    return first[:, present]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[p, i, j, 1] = a[i, p] * b[j, p]: one mixing weight per pair p and (i, j)."""
+    return (a.T[:, :, None] * b.T[:, None, :])[..., None]
+
+
+def _diagonal_peaks(T, lower, upper, q_pow) -> tuple:
+    """Peaks over s of the mixed cross relation's k = l terms, row s of column
+    s: sum_k T_ik conj(T_jk) m_kk(s) minus q**N on i = j, and of its terms."""
+    d = len(T)
+    modes = np.arange(d)
+    weights = (T[:, None] * T.conj()[None]).reshape(d * d, d)
+    lower_diag = (weights @ lower[modes, modes]).reshape(d, d, -1)
+    upper_diag = (weights @ upper[modes, modes]).reshape(d, d, -1)
+    diag = lower_diag + upper_diag
+    diag[modes, modes] -= q_pow
+    return _peak(diag), np.maximum(_peak(lower_diag), _peak(upper_diag))
+
+
 @np.errstate(all="ignore")  # an overflowed term reads as inf
 def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) -> float:
     """Residual of the FN relations after the mode mixing c'_i = sum_j T_ij c_j.
@@ -325,10 +367,13 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     `transform` must be a d x d unitary matrix (complex entries allowed here
     and only here); non-unitary input is rejected.  A mixed product is a
     T-weighted sum of the monomials `check_algebra` reads, each one amplitude
-    per column s, with the (k, l) and (l, k) terms on row s ^ e_k ^ e_l.  One
-    pair (k, l) at a time, for all (i, j), that is O(d**4 2**d) work in
-    O(d**2 2**d) memory.  Lower and upper terms are mixed apart and scale the
-    residual as in `check_algebra`.
+    per column s, with the (k, l) and (l, k) terms on row s ^ e_k ^ e_l.  The
+    diagonal terms k = l, on row s, are one matrix product over all columns.
+    A pair k < l is evaluated on one column per class of `_class_columns`,
+    for all pairs and all (i, j) at once: O(d**5) work and memory, against
+    O(d**3 2**d) for the diagonal and O(d**2 2**d) memory for the table.
+    Lower and upper terms are mixed apart and scale the residual as in
+    `check_algebra`.
     """
     T = np.asarray(transform, dtype=complex)
     if T.shape != (d, d):
@@ -341,33 +386,27 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     number = ops.occupation
     q_pow = q**number
     lower, upper, pair = _fn_monomials(ops)  # [k, l, s]
+    cross, cross_terms = _diagonal_peaks(T, lower, upper, q_pow)
+    # all pairs k < l at once: [p, i, j, c] on class column c of pair p
     tc = T.conj()
-    modes = np.arange(d)
-    # diagonal entries, row s of column s: sum_k T_ik conj(T_jk) m_kk(s)
-    lower_diag = np.einsum("ik,jk,ks->ijs", T, tc, lower[modes, modes])
-    upper_diag = np.einsum("ik,jk,ks->ijs", T, tc, upper[modes, modes])
-    diag = lower_diag + upper_diag
-    diag[modes, modes] -= q_pow
-    cross = _peak(diag)
-    cross_terms = np.maximum(_peak(lower_diag), _peak(upper_diag))
-    pair_res = pair_terms = np.zeros((d, d, 1))  # c_k c_k = 0: no diagonal
-    for k, l in zip(*np.triu_indices(d, 1)):
-        kl = np.outer(T[:, k], tc[:, l])[:, :, None]
-        lk = np.outer(T[:, l], tc[:, k])[:, :, None]
-        lo = kl * lower[k, l] + lk * lower[l, k]
-        hi = kl * upper[k, l] + lk * upper[l, k]
-        cross = np.maximum(cross, _peak(lo + hi))
-        cross_terms = np.maximum(cross_terms, np.maximum(_peak(lo), _peak(hi)))
-        kl = np.outer(T[:, k], T[:, l])[:, :, None]
-        pr = kl * pair[k, l] + kl.transpose(1, 0, 2) * pair[l, k]  # c'_i c'_j
-        pair_res = np.maximum(pair_res, _peak(pr + pr.transpose(1, 0, 2)))
-        pair_terms = np.maximum(pair_terms, _peak(pr))
+    k, l = np.triu_indices(d, 1)
+    cols = _class_columns(ops, k, l)
+    at = lambda m, a, b: m[a[:, None], b[:, None], cols][:, None, None, :]
+    kl, lk = _outer(T[:, k], tc[:, l]), _outer(T[:, l], tc[:, k])
+    lo = kl * at(lower, k, l) + lk * at(lower, l, k)
+    hi = kl * at(upper, k, l) + lk * at(upper, l, k)
+    kl = _outer(T[:, k], T[:, l])
+    pr = kl * at(pair, k, l) + kl.transpose(0, 2, 1, 3) * at(pair, l, k)  # c'_i c'_j
+    worst = lambda m: _peak(m).max(axis=0, initial=0.0)  # over the pairs
+    cross = np.maximum(cross, worst(lo + hi))
+    cross_terms = reduce(np.maximum, (cross_terms, worst(lo), worst(hi)))
+    pair_res = worst(pr + pr.transpose(0, 2, 1, 3))  # c_k c_k = 0: no diagonal
     mixed = T[:, :, None] * amps  # c'_j |s> has amplitude mixed[j, k, s] on s ^ e_k
     right = (mixed * number).reshape(d, -1)
     shift = right - ((number[flips] + 1.0) * mixed).reshape(d, -1)
     return max(
         _scaled(cross, cross_terms, q_pow),
-        _scaled(pair_res, pair_terms),
+        _scaled(pair_res, worst(pr)),
         _scaled(shift, right, mixed.reshape(d, -1)),
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Model, SingularPointError, require_positive_q
-from .spectra import basic_number
+from .spectra import spectrum
 
 
 def polyval(coeffs, x: float) -> float:
@@ -51,9 +51,12 @@ def jd_polynomial(model: Model, coeffs, q: float) -> np.ndarray:
         raise ValueError("polynomial Jackson derivative applies to PVC and VPJC")
     require_positive_q(q)
     a = np.asarray(coeffs, dtype=float)
-    if a.size <= 1:
-        return np.zeros(1)
-    return np.array([a[n] * basic_number(model, n, q) for n in range(1, a.size)])
+    return _termwise(a, spectrum(model, q, max(a.size - 1, 0)).values)
+
+
+def _termwise(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a_n x**n -> a_n g_n x**(n-1), reading levels 1..a.size - 1 of g."""
+    return a[1:] * g[1 : a.size] if a.size > 1 else np.zeros(1)
 
 
 def _padded(arrays):
@@ -75,10 +78,11 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     polys = [np.asarray(p, dtype=float) for p in polynomials]
     if not polys:
         raise ValueError("need at least one test polynomial")
+    g = spectrum(model, q, max(p.size for p in polys)).values
     worst = 0.0
     for p in polys:
-        d_xp = jd_polynomial(model, np.concatenate(([0.0], p)), q)
-        x_dp = np.concatenate(([0.0], jd_polynomial(model, p, q)))
+        d_xp = _termwise(np.concatenate(([0.0], p)), g)
+        x_dp = np.concatenate(([0.0], _termwise(p, g)))
         if model is Model.VPJC:
             rhs = p
         else:

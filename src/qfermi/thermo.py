@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -282,6 +283,11 @@ def occupation_ratio_solve(model: Model, eta: float, q: float) -> float:
     return math.log(y) / math.log(q)
 
 
+_MIN_NORMAL = 2.0**-1022
+_LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class TraceAverages:
     """Gibbs-trace averages of [N], N and [N+1] weighted by exp(-eta N).
@@ -312,9 +318,14 @@ def exact_trace_occupation(
     top = d, m_n = C(d, n), [n] = n q**(n-1), shifted value (d - n) q**n.
     Averages are sum m_n w_n (.) / sum m_n w_n, w_n = exp(-eta (n - r)) with
     r = top for eta < 0 and 0 otherwise, so no weight exceeds 1; as [0] = 0,
-    exp(eta) <[N]> is that sum with w_(n-1).  A subnormal weight adds up to
-    2**-1075 times the level value.  eta = +-inf gives the limiting state; a
-    NaN eta, or a level or level sum past a double, raises ValueError.
+    exp(eta) <[N]> is that sum with w_(n-1).  Where some weight is
+    subnormal, every weight is exp(-eta (n - r) + K) instead: the integer
+    K lifts them all into the normal range, unless a term m_n w_n |value|
+    could then overflow, and is cut to the room left.  The factor exp(K)
+    cancels in each ratio, and adding K to an exponent below -708 is exact,
+    so the lifted weights keep their relative precision.  eta = +-inf gives
+    the limiting state; a NaN eta, or a level or level sum past a double,
+    raises ValueError.
     """
     require_positive_q(q)
     record = MODELS[model]
@@ -328,7 +339,16 @@ def exact_trace_occupation(
     levels = np.arange(len(multiplicity))
     eta_w = min(max(eta, -1e308), 1e308)  # at +-inf every other level weighs 0
     with np.errstate(all="ignore"):
-        w = np.exp(-eta_w * (levels - (levels[-1] if eta < 0.0 else 0)))
+        exponent = -eta_w * (levels - (levels[-1] if eta < 0.0 else 0))
+        w = np.exp(exponent)
+        subnormal = (w > 0.0) & (w < _MIN_NORMAL)
+        if subnormal.any():
+            # every product and sum stays below m_max |value|_max (top + 1) exp(K)
+            largest = max(np.abs(deformed).max(), np.abs(shifted).max(), levels[-1])
+            room = _LOG_MAX - math.log(len(levels) * multiplicity.max()) - math.log(largest)
+            lift = min(math.ceil(_LOG_MIN_NORMAL - exponent[subnormal].min()) + 1, math.floor(room))
+            if lift > 0:
+                w = np.exp(exponent + lift)
         weights = multiplicity * w
         z_sum = float(weights.sum())
         mean_deformed, mean_number, mean_shifted = (

@@ -21,6 +21,7 @@ from .spectra import (
     ckn_spectrum,
     fn_spectrum,
     pvc_basic,
+    spectrum,
     vpjc_basic,
     vpjc_recurrence_residual,
 )
@@ -72,22 +73,26 @@ def check_spectra(**_):
         rec.expect(f"g1_one_vpjc_q{q}", vpjc_basic(1, q) == 1.0)
     for q in (0.1, *_Q_GRID, 0.99):
         rec.residual(f"vpjc_recurrence_q{q}", vpjc_recurrence_residual(50, q), 1e-14)
+    vpjc, pvc, fn = (spectrum(model, 1.0, 11).values.tolist()
+                     for model in (Model.VPJC, Model.PVC, Model.FN))
     for n in range(12):
         expected = 0.0 if n % 2 == 0 else 1.0
-        rec.expect(f"vpjc_q1_limit_n{n}", vpjc_basic(n, 1.0) == expected)
-        rec.expect(f"pvc_q1_limit_n{n}", abs(pvc_basic(n, 1.0) - expected) < 1e-15)
-        rec.expect(f"fn_q1_limit_n{n}", fn_spectrum(n, 1.0) == float(n))
+        rec.expect(f"vpjc_q1_limit_n{n}", vpjc[n] == expected)
+        rec.expect(f"pvc_q1_limit_n{n}", abs(pvc[n] - expected) < 1e-15)
+        rec.expect(f"fn_q1_limit_n{n}", fn[n] == float(n))
     for q in _Q_GRID:
         lower = (1.0 - q) / (1.0 + q)
+        vpjc = spectrum(Model.VPJC, q, 60).values.tolist()
         for n in range(1, 61):
-            val = vpjc_basic(n, q)
+            val = vpjc[n]
             rec.expect(
                 f"vpjc_bounds_q{q}_n{n}",
                 lower - 1e-15 <= val <= 1.0 + 1e-15 and val > 0.0,
             )
     for q in (1.5, 2.0):
+        vpjc = spectrum(Model.VPJC, q, 20).values.tolist()
         for n in range(2, 21, 2):
-            rec.expect(f"vpjc_negative_q{q}_n{n}", vpjc_basic(n, q) < 0.0)
+            rec.expect(f"vpjc_negative_q{q}_n{n}", vpjc[n] < 0.0)
     return rec.summary()
 
 
@@ -101,7 +106,7 @@ def check_fock(seed=0, vpjc_q=0.5, strict_norms=False, **_):
                 f"relations_{model.value}_q{q}", report.max_residual, 1e-12
             )
             diag = fock.spectrum_of_number_operator(ops)
-            closed = np.array([basic_number(model, n, q) for n in range(dim)])
+            closed = spectrum(model, q, dim - 1).values
             # entrywise, at the scale of each entry (PVC entries reach q**-n)
             rec.residual(
                 f"spectrum_{model.value}_q{q}",
@@ -114,7 +119,7 @@ def check_fock(seed=0, vpjc_q=0.5, strict_norms=False, **_):
             report = fock.check_algebra(ops)
             rec.residual(f"relations_fn_d{d}_q{q}", report.max_residual, 1e-12)
             diag = fock.spectrum_of_number_operator(ops)
-            closed = [fn_spectrum(sum(s), q) for s in ops.basis_labels]
+            closed = spectrum(Model.FN, q, d).values[ops.occupation.astype(int)]
             rec.residual(
                 f"spectrum_fn_d{d}_q{q}", float(np.max(np.abs(diag - closed))), 1e-13
             )
@@ -160,13 +165,14 @@ def check_jackson(seed=0, **_):
     rec = _Recorder()
     for model in (Model.PVC, Model.VPJC):
         for q in (*_Q_GRID, 1.0):
+            g = spectrum(model, q, 20).values
             worst = 0.0
             for n in range(1, 21):
                 mono = np.zeros(n + 1)
                 mono[n] = 1.0
                 out = jackson.jd_polynomial(model, mono, q)
                 expected = np.zeros(n)
-                expected[n - 1] = basic_number(model, n, q)
+                expected[n - 1] = g[n]
                 worst = max(worst, float(np.max(np.abs(out - expected))))
             rec.residual(f"monomials_{model.value}_q{q}", worst, 1e-14)
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from qfermi import (
     spectrum,
     spectrum_of_number_operator,
 )
-from qfermi.fock import _maxabs
+from qfermi.fock import _class_columns, _fn_monomials, _maxabs, _peak, _scaled as _array_scaled
 
 SINGLE_MODE_CASES = [
     (Model.VPJC, 0.3, 40),
@@ -98,6 +98,45 @@ def _dense_covariance(d, q, transform) -> float:
     mixed_dag = [m.conj().T for m in mixed]
     residuals = _fn_relation_residuals(mixed, mixed_dag, q, np.diag(ops.number_op))
     return max(residuals.values())
+
+
+@np.errstate(all="ignore")
+def _pairwise_covariance(d, q, transform) -> float:
+    """`covariance_check` with one mode pair (k, l) at a time over all 2**d
+    columns, and the diagonal terms by `einsum`."""
+    T = np.asarray(transform, dtype=complex)
+    ops = build_fn_multimode(d, q)
+    amps, flips, number = ops.amplitudes, ops.targets, ops.occupation
+    q_pow = q**number
+    lower, upper, pair = _fn_monomials(ops)
+    tc = T.conj()
+    modes = np.arange(d)
+    lower_diag = np.einsum("ik,jk,ks->ijs", T, tc, lower[modes, modes])
+    upper_diag = np.einsum("ik,jk,ks->ijs", T, tc, upper[modes, modes])
+    diag = lower_diag + upper_diag
+    diag[modes, modes] -= q_pow
+    cross = _peak(diag)
+    cross_terms = np.maximum(_peak(lower_diag), _peak(upper_diag))
+    pair_res = pair_terms = np.zeros((d, d, 1))
+    for k, l in zip(*np.triu_indices(d, 1)):
+        kl = np.outer(T[:, k], tc[:, l])[:, :, None]
+        lk = np.outer(T[:, l], tc[:, k])[:, :, None]
+        lo = kl * lower[k, l] + lk * lower[l, k]
+        hi = kl * upper[k, l] + lk * upper[l, k]
+        cross = np.maximum(cross, _peak(lo + hi))
+        cross_terms = np.maximum(cross_terms, np.maximum(_peak(lo), _peak(hi)))
+        kl = np.outer(T[:, k], T[:, l])[:, :, None]
+        pr = kl * pair[k, l] + kl.transpose(1, 0, 2) * pair[l, k]
+        pair_res = np.maximum(pair_res, _peak(pr + pr.transpose(1, 0, 2)))
+        pair_terms = np.maximum(pair_terms, _peak(pr))
+    mixed = T[:, :, None] * amps
+    right = (mixed * number).reshape(d, -1)
+    shift = right - ((number[flips] + 1.0) * mixed).reshape(d, -1)
+    return max(
+        _array_scaled(cross, cross_terms, q_pow),
+        _array_scaled(pair_res, pair_terms),
+        _array_scaled(shift, right, mixed.reshape(d, -1)),
+    )
 
 
 def _dense_single_mode_residuals(ops) -> dict:
@@ -377,6 +416,65 @@ class TestCovariance:
         dense = _dense_covariance(d, q, transform)
         assert got <= 1e-10 and dense <= 1e-10
         assert abs(got - dense) <= 1e-14 * max(1.0, q ** (d - 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 9),
+        q=st.floats(0.3, 2.5),
+        kind=st.sampled_from(["haar", "permutation", "phase"]),
+        data=st.data(),
+    )
+    def test_matches_pairwise_reference(self, d, q, kind, data):
+        # one column per class gives the per-pair peaks exactly; only the
+        # diagonal's matrix product sums in another order than the einsum
+        if kind == "haar":
+            transform = haar_unitary(d, seed=data.draw(st.integers(0, 2**32 - 1)))
+        elif kind == "permutation":
+            transform = np.eye(d)[data.draw(st.permutations(range(d)))]
+        else:
+            angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=d, max_size=d))
+            transform = np.diag(np.exp(1j * np.array(angles)))
+        got = covariance_check(d, q, transform)
+        assert abs(got - _pairwise_covariance(d, q, transform)) <= 1e-15 * max(1.0, q ** (d - 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "d,q", [(d, q) for d in range(1, 13) for q in (0.83, 1.4)]
+        + [(d, 1e150) for d in range(1, 6)]
+    )
+    def test_pair_entries_depend_only_on_the_class(self, d, q):
+        # the six entries of a pair agree, up to one common sign, on every
+        # column of a class (N, occ_k, occ_l); `_class_columns` keeps one
+        # column of each class but (N, 0, 0), where all six are 0
+        ops = build_fn_multimode(d, q)
+        lower, upper, pair = _fn_monomials(ops)
+        bits = (np.arange(ops.dim) >> np.arange(d - 1, -1, -1)[:, None]) & 1
+        k, l = np.triu_indices(d, 1)
+        cols = _class_columns(ops, k, l)
+        assert len(cols) == len(k)
+        for p, (kp, lp) in enumerate(zip(k, l)):
+            six = np.stack([m[a, b] for m in (lower, upper, pair) for a, b in ((kp, lp), (lp, kp))])
+            key = (ops.occupation.astype(int) * 2 + bits[kp]) * 2 + bits[lp]
+            column_of = np.full(4 * (d + 1), -1)
+            column_of[key[cols[p]]] = cols[p]
+            assert (column_of >= 0).sum() == cols.shape[1] == 3 * (d - 1)  # one per class
+            kept = column_of[key] >= 0
+            assert not six[:, ~kept].any() and (key[~kept] % 4 == 0).all()
+            rep = six[:, column_of[key[kept]]]
+            same, flipped = (six[:, kept] == rep).all(axis=0), (six[:, kept] == -rep).all(axis=0)
+            assert (same | flipped).all()
+
+    def test_twelve_modes(self):
+        # the per-pair loop over all 4096 columns took seconds here
+        transform = haar_unitary(12, seed=2)
+        tracemalloc.start()
+        try:
+            residual = covariance_check(12, 0.83, transform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-10
+        assert peak < 100 * 2**20
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,3 +249,57 @@ def test_factorials_equal_the_left_to_right_loop_bit_for_bit():
                     product *= basic_number(model, n, q)
                 assert table.factorials[n] == product
                 assert basic_factorial(model, n, q) == product
+
+
+def _reference_level(model: Model, n: int, q: float) -> float:
+    """The closed form of one level in Python floats: ValueError with the
+    package's text where it overflows a double."""
+    sign = -1.0 if n % 2 else 1.0
+    formulas = {
+        Model.FN: lambda: 0.0 if n == 0 else n * q ** (n - 1),
+        Model.CKN: lambda: 0.0 if n % 2 == 0 else q ** (1 - n),
+        Model.PVC: lambda: ((1.0 / q) ** n - sign * q**n) / (q + 1.0 / q),
+        Model.VPJC: lambda: (1.0 - sign * q**n) / (1.0 + q),
+        Model.ARIK_COON: lambda: float(n) if q == 1.0 else (1.0 - q**n) / (1.0 - q),
+    }
+    try:
+        value = formulas[model]()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{model.value} spectrum at q = {q}: level {n} overflows a double")
+    return value
+
+
+def _outcome(func, *args):
+    try:
+        return np.float64(func(*args)).view(np.int64).item()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    q=st.one_of(
+        st.floats(0.01, 3.0),
+        st.floats(1e-300, 1e300),
+        st.sampled_from([1.0, 5e-324, 1.7976931348623157e308, 1 - 2**-53, 1 + 2**-52]),
+    ),
+    nmax=st.integers(0, 1500),
+)
+def test_table_is_the_per_level_closed_form_bit_for_bit(model, q, nmax):
+    # every level, -0.0 included (Arik-Coon at q > 1, level 0), equals the
+    # Python-float formula; an overflow names the same first level
+    expected = []
+    for n in range(nmax + 1):
+        expected.append(_outcome(_reference_level, model, n, q))
+        assert _outcome(basic_number, model, n, q) == expected[-1]
+        if not isinstance(expected[-1], int):
+            break
+    try:
+        values = spectrum(model, q, nmax).values
+    except ValueError as error:
+        assert (type(error), str(error)) == expected[-1]
+    else:
+        assert values.view(np.int64).tolist() == expected

@@ -581,15 +581,30 @@ def _mp_trace(model, q, eta, d):
 @pytest.mark.parametrize("eta", [300.0, -300.0, 705.0, -705.0, 720.0, -720.0])
 def test_extreme_eta_matches_mpmath(model, d, q, eta):
     # past |eta| = 709.8 these raised OverflowError; eta < 0 weighs the levels
-    # from the top one down.  A weight below the normal range (exp(-720))
+    # from the top one down.  An average below the normal range (exp(-720))
     # carries an absolute rounding of up to 2**-1075, not a relative one, so
-    # each average also allows 2**-1074 times its sum of m_n |value_n|
+    # there it also allows 2**-1074 times its sum of m_n |value_n|
     trace = exact_trace_occupation(model, q, eta, d=d)
     got = (trace.mean_deformed, trace.mean_number, trace.mean_shifted)
     means, scales = _mp_trace(model, q, eta, d)
     for value, want, scale in zip(got, means, scales):
-        assert value == pytest.approx(float(want), rel=1e-13, abs=2.0**-1074 * scale)
+        allowance = 0.0 if abs(want) >= 2.0**-1022 else 2.0**-1074 * scale
+        assert value == pytest.approx(float(want), rel=1e-13, abs=allowance)
     assert trace.identity_residual <= 1e-13 * max(1.0, trace.mean_shifted)
+
+
+@pytest.mark.parametrize("d,q,eta", [(12, 40.0, -741.5), (7, 5.0, -709.0),
+                                     (9, 20.0, -730.25), (12, 5.0, -705.0)])
+def test_subnormal_weight_keeps_relative_precision(d, q, eta):
+    # the weight exp(eta) of level d - 1 is subnormal, but its product with
+    # the level value is not; the common lift keeps its relative precision
+    # (eta = -705 has no subnormal weight and is computed as before)
+    trace = exact_trace_occupation(Model.FN, q, eta, d=d)
+    got = (trace.mean_deformed, trace.mean_number, trace.mean_shifted)
+    means, _ = _mp_trace(Model.FN, q, eta, d)
+    for value, want in zip(got, means):
+        assert abs(float(want)) >= 2.0**-1022
+        assert value == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 # the public scalar forms of each model's record
