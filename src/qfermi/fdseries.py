@@ -25,14 +25,18 @@ with exact leading zeros), so `f_gen_array` gives each point the bits of
 `_alternating_sum`); a tolerance below that floor raises
 `SeriesConvergenceError` rather than returning an uncertified bound.
 
-The h-family needs 0 < q < 1 and z/q < 1 strictly; its second
-(non-alternating) sum is summed directly up to a geometric tail bound.
-Its reported bound also covers the rounding of the arguments q z and z/q,
-of the direct sum (`_PositiveSum`) and of the final combination (`h_gen`);
-here too a tolerance below that floor raises `SeriesConvergenceError`.
-Evaluation is series-only: the degenerate regime beyond the convergence
-disc is reached through the low-temperature expansions in `thermo`, never
-by analytic continuation here.
+The h-family needs 0 < q < 1 and z/q < 1 strictly.  Its alternating sum is
+the same accelerated kernel; its second sum, in r = z/q, is summed directly
+up to a geometric tail bound, in spans of np.power terms reduced by numpy's
+pairwise sum, with the pieces added by two-sum and the rounding of r
+corrected to first order by the exact remainder z - r q.  These kernels too
+run on a float and on an array of points alike, each point with its own
+cutoff, so `h_gen_array` gives each point the bits of `h_gen`.  The bound
+covers the rounding of the arguments, of both sums and of the final
+combination (`_h_bound`); here too a tolerance below that floor raises
+`SeriesConvergenceError`.  Evaluation is series-only: the degenerate regime
+beyond the convergence disc is reached through the low-temperature
+expansions in `thermo`, never by analytic continuation here.
 
 At order 1 the f-series is the Mercator series, so it is summed in closed
 form as log1p(q z).
@@ -50,14 +54,17 @@ import numpy as np
 from .models import SeriesConvergenceError, require_positive_q
 
 _MAX_TERMS = 20_000_000
-_CHUNK = 1 << 13  # 64 KiB of float64: temporaries stay in cache and off mmap
-_HEAD = 64  # leading terms of a direct sum, added by math.fsum
+_CHUNK = 1 << 13  # 64 KiB of float64 per row: temporaries stay in cache and off mmap
+_HEAD = 64  # leading terms of a direct sum, one piece with a shallow pairwise tree
+_SLAB = 1 << 16  # most terms in one 2-D block of the array pass (512 KiB)
 # Most additions between a term and numpy's pairwise sum of at most _CHUNK
-# terms (np.add.reduce of a contiguous float64 array): a block of up to 128
+# terms (np.add.reduce of a contiguous float64 row): a block of up to 128
 # terms costs at most 24 (one of 8 interleaved accumulators, 3 to combine
 # them, up to 7 for a remainder of the length mod 8), and each halving of a
 # longer block one more, at most 6 times for these lengths.
 _PAIRWISE_DEPTH = 30
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+_EXACT = 2.0**-900  # from here up, Dekker's product r q has no underflow
 _EPS = float(np.finfo(float).eps)
 # Most terms of the accelerated sum: T_64(3) ~ 1e49, far beyond any
 # tolerance that double precision can certify (about 20 terms).
@@ -78,6 +85,7 @@ _T3 = _chebyshev_at_three(_MAX_ACCEL_TERMS)
 _T3_FLOAT = tuple(float(t) for t in _T3)
 _T3_ARRAY = np.array(_T3_FLOAT)
 _INDICES = tuple(float(l) for l in range(1, _MAX_ACCEL_TERMS + 1))
+_SPAN_INDICES = np.arange(1.0, _HEAD + _CHUNK + 1)  # k of the longest direct-sum span
 
 
 @dataclass(frozen=True)
@@ -98,53 +106,12 @@ def _validate_common(order: float, z: float, tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _cutoff(series: _PositiveSum, tol: float, start: int) -> int:
-    """Smallest L >= start with series.tail(L) <= tol; the float tail bound
-    r**(L+1) (L+1)**-expo / (1 - r) decreases in L.
-
-    The search starts from an estimate of m = L + 1, the root of
-    m log r - expo log m = log(tol (1 - r)): the geometric estimate
-    log(tol (1 - r)) / log r, which leaves out the (L+1)**-expo factor,
-    refined by two Newton steps.  It gallops from there to a bracket and
-    bisects it, so the estimate sets only how often the tail is evaluated,
-    not the result: over random r, order and tol about 7 times, against 10
-    when doubling from `start` and 13 from the geometric estimate alone.
-    Raises SeriesConvergenceError when L exceeds `_MAX_TERMS`.
-    """
-    bound, r, expo = series.tail, series.r, series.expo
-    if bound(start) <= tol:
-        return start
-    log_r = math.log(r)
-    target = math.log(tol) + math.log1p(-r)
-    m = target / log_r
-    for _ in range(2):
-        if m <= 1.0:
-            break
-        m -= (m * log_r - expo * math.log(m) - target) / (log_r - expo / m)
-    lo, hi = start, min(max(math.ceil(m - 1.0), start + 1), _MAX_TERMS)
-    step = 1
-    if bound(hi) <= tol:
-        while hi - step > lo and bound(hi - step) <= tol:
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        while True:
-            if hi == _MAX_TERMS:
-                raise SeriesConvergenceError(
-                    f"geometric-tail series: tolerance {tol} needs more than {_MAX_TERMS} terms"
-                )
-            lo, hi = hi, min(hi + step, _MAX_TERMS)
-            step *= 2
-            if bound(hi) <= tol:
-                break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _validate_points(order: float, z: np.ndarray, tol: float) -> None:
+    """`_validate_common` as a loop of the scalar meets it: at the first
+    point, then at the first one outside the domain."""
+    bad = ~(np.isfinite(z) & (z >= 0.0))
+    for point in z.ravel()[:1].tolist() + z[bad][:1].tolist() or [0.0]:
+        _validate_common(order, point, tol)
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +145,7 @@ def _padded_coefficients(n: np.ndarray, expo: float) -> np.ndarray:
     passes through exactly (0 y + 0 = 0), so each column gives the bits of
     its unpadded polynomial."""
     ns, which = np.unique(n, return_inverse=True)
-    width = int(ns[-1])
+    width = int(ns.max(initial=0))
     table = np.zeros((width, ns.size))
     for j, k in enumerate(ns.tolist()):
         table[width - k :, j] = _horner_coefficients(k, expo)
@@ -268,73 +235,186 @@ def _alternating_sum_array(y: np.ndarray, expo: float, tol: float):
     return value, bound, n, failed
 
 
-class _PositiveSum:
-    """sum_{k>=1} r**k / k**expo for 0 < r < 1, summed directly, continued on demand.
+def _direct_tail(r, expo, n):
+    """r**(n+1) (n+1)**-expo / (1 - r), a bound on the direct sum's terms
+    beyond n (each is at most r times the one before), for an int array n.
+    One point passes a 1-element n: numpy's power takes another path on 0-d
+    operands, whose last bit can differ."""
+    m = n + 1.0
+    return np.power(r, m) * np.power(m, -expo) / (1.0 - r)
 
-    Terms are computed in chunks of up to `_CHUNK`, each term as
-    np.power(r, k) * np.power(k, -expo).  The first `_HEAD` terms, which
-    carry most of the sum, are added by `math.fsum`; the others, chunk by
-    chunk, by numpy's pairwise sum (`np.add.reduce`, which `np.sum` calls),
-    so its larger rounding allowance falls only on the small rest; the
-    pieces by `math.fsum`.  Each chunk also gives sum k * term (`np.dot`),
-    which is r dS/dr of the partial sum.  `sum()` returns the partial sum S_n and a
-    bound on its rounding error plus the effect of the rounding of r = z / q
-    on the whole series, with u = eps / 2:
-      * each term carries two pow calls within one ulp each (as libm's;
-        numpy 2.4's vectorised pow measured at most 0.68 ulp on an
-        AVX-512 x86-64 build) and one product: at most 5 u relative;
-      * the head's `math.fsum` and the final `math.fsum` are correctly
-        rounded: at most u S each;
-      * within a chunk of at most `_CHUNK` terms numpy's pairwise sum passes
-        each term through at most `_PAIRWISE_DEPTH` = 30 additions, each
-        with error at most u times its (positive) result: at most 30 u of
-        the chunk's sum;
-      * the rounded r is within u r of z / q (plus half a subnormal ulp), so
-        the series moves by at most u r S'(xi) for some xi between the two.
-        r S'(r) = sum k r**k / k**expo is the dot product over the summed
-        terms plus at most (n + 1) tail(n) beyond them; doubling that tail
-        part covers xi > r, even at r one ulp below 1;
-      * the float tail bound carries seven roundings (two pow, a product,
-        1 - r, a quotient): at most 3.5 eps relative.
-    The allowance eps * (4 S + 15 S_chunks + r S' / 2 + 4 tail) covers these
-    to first order and leaves eps S / 2 for the second-order terms;
-    `_UNDERFLOW` per term covers subnormal terms and arguments.
+
+def _cutoff_root(r, expo, tol, lib):
+    """The real L at which the exact tail meets tol, by `lib` (math or numpy):
+    Newton's method in x = log(L + 1) (see `_direct_cutoff`)."""
+    log_r, target = lib.log(r), lib.log(tol) + lib.log1p(-r)
+    x = lib.log(target / log_r)
+    for _ in range(7):
+        m_log_r = lib.exp(x) * log_r
+        x -= (m_log_r - expo * x - target) / (m_log_r - expo)
+    return lib.exp(x) - 1.0
+
+
+def _direct_cutoff(r, expo, tol, start):
+    """(L, its tail) for the smallest L >= start with `_direct_tail` <= tol,
+    for a float r and tol and an int start, or at each point of 1-D arrays of
+    the three.  Past `_MAX_TERMS` the float raises SeriesConvergenceError and
+    the array holds L = 0.
+
+    Below `_MAX_TERMS` each step divides the tail by more than 1 + 7e-8, far
+    beyond its roundings, so the float tail decreases (strictly, until
+    r**(L+1) is subnormal) and any search finds the same L.  Newton's method
+    in x = log(L + 1) on e**x log r - expo x = log(tol (1 - r)), concave and
+    decreasing in x, falls monotonically to its root from the geometric
+    estimate above it, within 1e-7 in seven steps over random r, expo and
+    tol.  The tail is checked at start, at the first L the root admits and
+    at the one below; where the root missed, the float's bisection settles it.
     """
+    if isinstance(r, float):
+        guess = start + 1  # where tol (1 - r) >= 1/2, start suffices
+        if tol * (1.0 - r) < 0.5:
+            guess = min(max(math.ceil(_cutoff_root(r, expo, tol, math)), start + 1), _MAX_TERMS)
+        t0, t1, t2 = _direct_tail(r, expo, np.array([start, guess - 1, guess])).tolist()
+        if t0 <= tol:
+            return start, t0
+        lo, hi, tail = ((start, guess - 1, t1) if t1 <= tol else (guess - 1, guess, t2)
+                        if t2 <= tol else (guess, _MAX_TERMS + 1, math.inf))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            t = _direct_tail(r, expo, np.array([mid])).item()
+            lo, hi, tail = (lo, mid, t) if t <= tol else (mid, hi, tail)
+        if hi > _MAX_TERMS:
+            raise SeriesConvergenceError(f"geometric-tail series: tolerance {tol} needs more "
+                                         f"than {_MAX_TERMS} terms")
+        return hi, tail
+    with np.errstate(all="ignore"):  # nan roots where tol (1 - r) >= 1
+        root = np.ceil(_cutoff_root(r, expo, tol, np))
+    guess = np.fmin(np.fmax(root, start + 1), _MAX_TERMS).astype(np.int64)
+    tails = _direct_tail(r, expo, np.array([start, guess - 1, guess]))
+    first, below, at = tails <= tol
+    cutoff, tail = np.where(first, start, guess), np.where(first, tails[0], tails[2])
+    for i in np.flatnonzero(~first & (below | ~at)).tolist():  # the root missed
+        try:
+            cutoff[i], tail[i] = _direct_cutoff(float(r[i]), expo, float(tol[i]), int(start[i]))
+        except SeriesConvergenceError:
+            cutoff[i] = 0
+    return cutoff, tail
 
-    def __init__(self, r: float, expo: float):
-        self.r, self.expo = r, expo
-        self.n = 0
-        self.head = []  # fsum of the terms up to _HEAD
-        self.chunks = []  # pairwise sums of the other terms, per chunk
-        self.weighted = []  # sum k * term, per chunk
 
-    def tail(self, n: int) -> float:
-        """Bound on the terms beyond n: each is at most r times the one before."""
-        return self.r ** (n + 1) * (n + 1) ** -self.expo / (1.0 - self.r)
+def _pairwise_depth(n: int) -> int:
+    """Most additions on a term's path in numpy's pairwise sum of n <= _CHUNK
+    terms (see `_PAIRWISE_DEPTH`)."""
+    return _PAIRWISE_DEPTH if n > 128 else max(n - 1, 0) if n < 8 else n // 8 + 2 + n % 8
 
-    def extend(self, n_terms: int) -> None:
-        """Add the terms up to n_terms to the partial sum."""
-        while self.n < n_terms:
-            start = self.n + 1
-            stop = min(n_terms, start + _CHUNK - 1)
-            ks = np.arange(start, stop + 1, dtype=np.float64)
-            terms = np.power(self.r, ks) * np.power(ks, -self.expo)
-            split = max(0, _HEAD + 1 - start)  # terms[:split] are in the head
-            if split:
-                self.head.append(math.fsum(terms[:split].tolist()))
-            self.chunks.append(float(np.add.reduce(terms[split:])))
-            self.weighted.append(float(np.dot(terms, ks)))
-            self.n = stop
 
-    def sum(self):
-        """The partial sum S_n and its rounding allowance (see the class docstring)."""
-        value = math.fsum(self.head + self.chunks)
-        tail = self.tail(self.n)
-        slope = math.fsum(self.weighted) + 2.0 * (self.n + 1) * tail
-        rounding = _EPS * (
-            4.0 * value + 0.5 * _PAIRWISE_DEPTH * math.fsum(self.chunks) + 0.5 * slope + 4.0 * tail
-        )
-        return value, rounding + (self.n + 2) * _UNDERFLOW
+def _direct_span(state, r, expo, first, length: int, split: int):
+    """`state` with the terms first .. first + length - 1 added as two
+    pieces, the first `split` terms and the rest (see `_direct_extend`)."""
+    k = _SPAN_INDICES[:length] + (first - 1)
+    terms = np.power(r, k) * np.power(k, -expo)
+    total, error, spread, slope = state
+    for piece, size in ((terms[..., :split], split), (terms[..., split:], length - split)):
+        if size:
+            part = np.add.reduce(piece, axis=-1)
+            new = total + part
+            back = new - total
+            error = error + ((total - (new - back)) + (part - back))
+            total, spread = new, spread + _pairwise_depth(size) * part
+    return total, error, spread, slope + np.vecdot(terms, k)
+
+
+def _direct_extend(r, expo, n, stop, state):
+    """`state` = (total, its rounding error, spread, slope) with the terms
+    n + 1 .. stop of the direct sum added, for a float r and ints n and stop,
+    or per point of 1-D arrays with a (4, points) state.  Spans of `_CHUNK`
+    terms, the first `_HEAD` longer, are blocks of np.power(r, k) *
+    np.power(k, -expo); their terms up to `_HEAD` and the rest are pieces
+    summed by np.add.reduce (numpy's pairwise sum).  Knuth's two-sum adds
+    each piece to total and keeps the error exactly, spread gathers
+    `_pairwise_depth` times each piece, slope np.vecdot(terms, k) = r dS/dr.
+    The array takes one span of every point at a time; rows of one span
+    shape share 2-D blocks of about `_SLAB` terms, and a row of a block
+    gives the bits of the 1-D call.
+    """
+    if isinstance(r, float):
+        while n < stop:
+            end = min(stop, max(n, _HEAD) + _CHUNK)
+            split = min(max(_HEAD - n, 0), end - n)
+            state, n = _direct_span(state, r, expo, n + 1, end - n, split), end
+        return state
+    state, n = state.copy(), n.copy()
+    todo = np.flatnonzero(n < stop)
+    while todo.size:
+        start = n[todo]
+        end = np.minimum(stop[todo], np.maximum(start, _HEAD) + _CHUNK)
+        shape = (end - start) * (_HEAD + 1) + np.clip(_HEAD - start, 0, end - start)
+        for key in set(shape.tolist()):  # np.unique would import numpy.ma (1.3 MB)
+            length, split = divmod(key, _HEAD + 1)
+            rows = todo[shape == key]
+            for at in np.array_split(rows, -(-rows.size * length // _SLAB)):
+                first = n[at, None] + 1
+                state[:, at] = _direct_span(state[:, at], r[at, None], expo, first, length, split)
+        n[todo] = end
+        todo = todo[end < stop[todo]]
+    return state
+
+
+def _h_alternating(y, expo, tol, scale):
+    """(terms, value, error) of h's alternating sum, for a float y or per
+    point: the fewest terms whose truncation is at most an eighth of the
+    budget 2 |ln q| tol (y / tol / scale is inf when tol * scale underflows),
+    and the error covers the rounding of y = q z, at most u y."""
+    x = 8.0 * y / tol / scale
+    if isinstance(y, float):
+        n = min(max(1, bisect_left(_T3_FLOAT, x)), _MAX_ACCEL_TERMS)
+    else:
+        n = np.clip(np.searchsorted(_T3_ARRAY, x), 1, _MAX_ACCEL_TERMS)
+    value, rounding = _accelerated_sum(y, expo, n)
+    return n, value, y / _T3_ARRAY[n] + rounding + 0.5 * _EPS * y + _UNDERFLOW
+
+
+def _h_bound(z, q, r, s_alt, e_alt, state, n, tail, scale):
+    """The direct sum s_pos after n terms, the rounding allowance of
+    s_alt - s_pos, and the bound of h, for floats or per point.
+
+    Rounding of s_pos at one point, with u = eps / 2:
+      * a term has two pow calls within one ulp each (numpy 2.4's vectorised
+        pow measured at most 0.68 ulp on an AVX-512 x86-64 build) and a
+        product: at most 5 u relative;
+      * a piece of l terms is numpy's pairwise sum, which passes each
+        (positive) term through at most `_pairwise_depth`(l) additions, each
+        off by at most u times its result: u spread in all;
+      * two-sum adds the pieces exactly but for the rounding of the error
+        term, and total + (error + slip slope) rounds once: u s_pos;
+      * r = fl(z / q) is off z / q by d, |d| <= u r.  Where z >= `_EXACT`,
+        Dekker's product and Sterbenz's lemma give z - r q exactly, so
+        slip = (z - r q) / z is d / r to relative u and slip slope adds
+        d S'(r) of the summed terms.  Left is d times S' of the terms beyond
+        n, whose r S' is at most (n + 1) tail(n) (k**(1 - expo) decreases),
+        at most twice that between r and z / q as 1 - z / q >= (1 - r) / 2:
+        eps (n + 1) tail; the rest, rounding of slip and slope included, is
+        below 40 (n u)**2 s_pos.  Below `_EXACT` the product may underflow,
+        slip is 0 and d S' of the summed terms stays: u slope;
+      * the float tail has seven roundings (two pow, a product, 1 - r, a
+        quotient): at most 3.5 eps relative.
+    The allowance eps (3.5 s_pos + spread / 2 + (n + 5) tail) covers these
+    to first order and leaves eps s_pos / 2 for second-order terms, and
+    `_UNDERFLOW` per term covers subnormal terms and arguments.  Then
+    (s_alt - s_pos) / (2 ln q) rounds a subtraction, a quotient and libm's
+    log: at most 2 eps |s_alt - s_pos|, allowed as 2.5 eps; the factor
+    1 + 8 eps covers the float evaluation of the bound itself.
+    """
+    c_r, c_q = _SPLIT * r, _SPLIT * q  # Veltkamp's splits, for Dekker's product r q
+    r_hi, q_hi = c_r - (c_r - r), c_q - (c_q - q)
+    r_lo, q_lo = r - r_hi, q - q_hi
+    p = r * q
+    remainder = (z - p) - (((r_hi * q_hi - p) + r_hi * q_lo + r_lo * q_hi) + r_lo * q_lo)
+    slip = remainder / z * (z >= _EXACT)
+    total, error, spread, slope = state
+    s_pos = total + (error + slip * slope)
+    rounding = (_EPS * (3.5 * s_pos + 0.5 * spread + (n + 5.0) * tail + 0.5 * (z < _EXACT) * slope)
+                + (n + 2) * _UNDERFLOW + 2.5 * _EPS * abs(s_alt - s_pos))
+    return s_pos, rounding, (e_alt + tail + rounding) / scale * (1.0 + 8.0 * _EPS)
 
 
 def f_gen(order: float, q: float, z: float, tol: float = 1e-12) -> SeriesValue:
@@ -374,8 +454,7 @@ def f_gen_array(order: float, q: float, z, tol: float = 1e-12) -> tuple:
     """
     require_positive_q(q)
     z = np.asarray(z, dtype=float)
-    bad = ~(np.isfinite(z) & (z >= 0.0))
-    _validate_common(order, float(z[bad][0]) if bad.any() else 0.0, tol)
+    _validate_points(order, z, tol)
     with np.errstate(all="ignore"):  # overflow to inf is silent, as in f_gen
         y = q * z
         failed = y > 1.0
@@ -409,26 +488,12 @@ def h_gen(order: float, z: float, q: float, tol: float = 1e-12) -> SeriesValue:
 
     Defined for 0 < q < 1 with z/q < 1; the 1/(2 ln q) prefactor is negative
     there and the second sum dominates, so values are positive for small z.
-
-    The error bound covers, besides the truncation of both sums:
-      * the rounding of y = q z, which moves the alternating sum by at most
-        u y (its y-derivative has modulus at most 1), with u = eps / 2;
-      * the rounding of the accelerated sum (`_alternating_sum`) and of the
-        direct sum, including that of r = z / q (`_PositiveSum`);
-      * the rounding of (s_alt - s_pos) / (2 ln q): the subtraction and the
-        quotient (u each) and libm's log (one ulp), at most 2 eps |s_alt -
-        s_pos| to first order, allowed as 2.5 eps;
-      * the float evaluation of the bound itself, a few u relative, covered
-        by the factor 1 + 8 eps.
-    The budget 2 |ln q| tol for s_alt - s_pos is split by the rounding
-    floors, not in fixed shares.  The alternating half takes the fewest
-    terms whose truncation is at most an eighth of it (each further term
-    divides that by about 5.8).  The direct sum then runs until its tail
-    fits in 7/8 of what the alternating half leaves; if its rounding
-    allowance, known only once it is summed, leaves too little room, it
-    continues from where it stopped until its tail fits in 7/8 of the room
-    left.  A tolerance below the rounding floor raises
-    `SeriesConvergenceError`.
+    The bound covers the truncation and rounding of both sums and of their
+    combination (`_h_alternating`, `_h_bound`).  The alternating sum takes an
+    eighth of the budget 2 |ln q| tol; the direct sum runs until its tail fits
+    in 7/8 of what is left and, while its rounding allowance leaves too little
+    room, continues until its tail fits in 7/8 of the room left.  A tolerance
+    below the rounding floor raises `SeriesConvergenceError`.
     """
     require_positive_q(q)
     if q >= 1.0:
@@ -439,29 +504,61 @@ def h_gen(order: float, z: float, q: float, tol: float = 1e-12) -> SeriesValue:
         raise SeriesConvergenceError(f"second sum diverges for z/q = {r} >= 1")
     if z == 0.0:
         return SeriesValue(0.0, 0.0, 1)
-    y = q * z
-    expo = order + 1.0
-    log_q = math.log(q)
-    scale = 2.0 * abs(log_q)
-    # for the error of s_alt - s_pos, less a margin for the factor 1 + 8 eps
-    budget = tol * scale / (1.0 + 16.0 * _EPS)
-    # truncation y / T_n(3) <= budget / 8; y / tol / scale is inf, not an
-    # error, when tol * scale underflows
-    n_alt = min(max(1, bisect_left(_T3_FLOAT, 8.0 * y / tol / scale)), _MAX_ACCEL_TERMS)
-    s_alt, rounding = _accelerated_sum(y, expo, n_alt)
-    e_alt = y / _T3[n_alt] + rounding + 0.5 * _EPS * y + _UNDERFLOW
-    positive = _PositiveSum(r, expo)
-    room = budget - e_alt
+    expo, scale = order + 1.0, 2.0 * abs(math.log(q))
+    budget = tol * scale / (1.0 + 16.0 * _EPS)  # a margin for the factor 1 + 8 eps
+    n_alt, s_alt, e_alt = _h_alternating(q * z, expo, tol, scale)
+    n, state, room = 0, (0.0,) * 4, budget - e_alt
     while room > 0.0:
-        positive.extend(_cutoff(positive, 0.875 * room, max(positive.n, 1)))
-        s_pos, rounding = positive.sum()
-        rounding += 2.5 * _EPS * abs(s_alt - s_pos)
-        bound = (e_alt + positive.tail(positive.n) + rounding) / scale * (1.0 + 8.0 * _EPS)
+        stop, tail = _direct_cutoff(r, expo, 0.875 * room, max(n, 1))
+        state, n = _direct_extend(r, expo, n, stop, state), stop
+        s_pos, rounding, bound = _h_bound(z, q, r, s_alt, e_alt, state, n, tail, scale)
         if bound <= tol:
-            value = (s_alt - s_pos) / (2.0 * log_q)
-            return SeriesValue(value, bound, n_alt + positive.n)
+            value = (s_alt - s_pos) / (2.0 * math.log(q))
+            return SeriesValue(float(value), float(bound), n_alt + n)
         room = budget - e_alt - rounding
     raise SeriesConvergenceError(
-        f"h-series: tolerance {tol} is below evaluable precision "
-        f"{(budget - room) / scale:.3g}"
+        f"h-series: tolerance {tol} is below evaluable precision {(budget - room) / scale:.3g}"
     )
+
+
+def h_gen_array(order: float, z, q: float, tol: float = 1e-12) -> tuple:
+    """`h_gen` at each point of the array z: (SeriesValue of arrays, mask of
+    the points where `h_gen` raises SeriesConvergenceError).  Each cell is the
+    scalar's bit for bit, whatever the caller's numpy error settings: the same
+    kernels run on all points at once, and each point continues where the
+    scalar does.  Masked cells hold nan and 0 terms.  Raises the ValueError of
+    a loop of `h_gen` over the points.
+    """
+    require_positive_q(q)
+    if q >= 1.0:
+        raise ValueError("h-series requires 0 < q < 1 (no q = 1 limit exists)")
+    z = np.asarray(z, dtype=float)
+    _validate_points(order, z, tol)
+    with np.errstate(all="ignore"):
+        ratio = z / q
+        live = (ratio < 1.0) & (z != 0.0)
+        z_live, r = z[live], ratio[live]
+        expo, scale = order + 1.0, 2.0 * abs(math.log(q))
+        budget = tol * scale / (1.0 + 16.0 * _EPS)
+        n_alt, s_alt, e_alt = _h_alternating(q * z_live, expo, tol, scale)
+        n, state, room = np.zeros(r.size, dtype=np.int64), np.zeros((4, r.size)), budget - e_alt
+        go, done = room > 0.0, np.zeros(r.size, dtype=bool)
+        s_pos = bound = np.zeros(r.size)
+        while go.any():
+            fit = np.where(go, 0.875 * room, np.inf)  # inf: the others keep their n
+            stop, tail = _direct_cutoff(r, expo, fit, np.maximum(n, 1))
+            go &= stop > 0
+            stop = np.where(go, stop, n)
+            state, n = _direct_extend(r, expo, n, stop, state), stop
+            s_pos, rounding, bound = _h_bound(z_live, q, r, s_alt, e_alt, state, n, tail, scale)
+            done |= go & (bound <= tol)
+            room = np.where(go, budget - e_alt - rounding, room)
+            go &= ~done & (room > 0.0)
+        failed = ratio >= 1.0
+        failed[live] = ~done
+        value, error = np.zeros((2,) + z.shape)
+        value[live], error[live] = (s_alt - s_pos) / (2.0 * math.log(q)), bound
+        terms = np.ones(z.shape, dtype=np.int64)
+        terms[live] = n_alt + n
+        value[failed], error[failed], terms[failed] = np.nan, np.nan, 0
+    return SeriesValue(value, error, terms), failed

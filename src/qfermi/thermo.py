@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fdseries import f_gen, f_gen_array, h_gen
+from .fdseries import f_gen, f_gen_array, h_gen, h_gen_array
 from .models import (
     Model,
     SeriesConvergenceError,
@@ -472,34 +472,35 @@ def pvc_eos(q: float, z: float, g_mult: float = 1.0, tol: float = 1e-10) -> EosP
 
     `entropy` is g_mult * (5/2 h(5/2) - h(3/2)) per volume, as the
     closed-form entropy of this gas is stated: note it carries no -ln(z)
-    term, unlike the per-particle FN form.
+    term, unlike the per-particle FN form.  An entropy beyond the double
+    range raises ValueError.
     """
     if not 0.0 < g_mult < math.inf:
         raise ValueError(f"multiplicity factor must be positive and finite, got {g_mult}")
     h52 = h_gen(2.5, z, q, tol).value
     h32 = h_gen(1.5, z, q, tol).value
-    return EosPoint(
-        pressure=h52,
-        density=h32,
-        energy_density=1.5 * h52,
-        entropy=g_mult * (2.5 * h52 - h32),
-    )
+    entropy = g_mult * (2.5 * h52 - h32)
+    if math.isinf(entropy):
+        raise ValueError(f"PVC entropy overflows at g_mult = {g_mult}, q = {q}, z = {z}")
+    return EosPoint(pressure=h52, density=h32, energy_density=1.5 * h52, entropy=entropy)
 
 
 def pvc_eos_array(q: float, z, g_mult: float = 1.0, tol: float = 1e-10) -> tuple:
-    """`pvc_eos` at each point of the array `z`, by the scalar form per point."""
+    """`pvc_eos` at each point of the array `z`, bit for bit, from two
+    `h_gen_array` columns; raises the ValueError of a loop of `pvc_eos`."""
     z = np.asarray(z, dtype=float)
-    columns = np.full((4, z.size), np.nan)
-    skipped = np.zeros(z.size, dtype=bool)
-    for i, point in enumerate(z.ravel().tolist()):
-        try:
-            state = pvc_eos(q, point, g_mult, tol)
-        except SeriesConvergenceError:
-            skipped[i] = True
-            continue
-        columns[:, i] = state.pressure, state.density, state.energy_density, state.entropy
-    columns = columns.reshape((4,) + z.shape)
-    return EosPoint(*columns), skipped.reshape(z.shape)
+    flat = z.ravel()
+    bad = ~(np.isfinite(flat) & (flat >= 0.0))
+    stop = int(bad.argmax()) if bad.any() else flat.size  # where such a loop raises
+    pvc_eos(q, float(flat[0]) if stop == 0 < flat.size else 0.0, g_mult, tol)
+    (h52, skip52), (h32, skip32) = (h_gen_array(s, flat[:stop], q, tol) for s in (2.5, 1.5))
+    skipped = skip52 | skip32
+    with np.errstate(all="ignore"):
+        p, d = np.where(skipped, np.nan, (h52.value, h32.value))
+        columns = (p, d, 1.5 * p, g_mult * (2.5 * p - d))
+    for point in flat[:stop][np.isinf(columns[3])][:1].tolist() + flat[stop : stop + 1].tolist():
+        pvc_eos(q, point, g_mult, tol)
+    return EosPoint(*(c.reshape(z.shape) for c in columns)), skipped.reshape(z.shape)
 
 
 def fn_pvc_comparison(q: float, z: float, tol: float = 1e-10) -> dict:

@@ -735,7 +735,10 @@ class TestArrayEosAndMu:
         "model,q,grid,tol",
         [("fn", 0.7, "0.01:1.6:300", 1e-10), ("ckn", 0.6, "0.005:0.7:300", 3e-12),
          ("fn", 1.3, "1e-300:0.9:50", 1e-15), ("ckn", 2.0, "0.5:2.5:9", 1e-16),
-         ("pvc", 0.5, "0.01:0.6:40", 1e-10), ("fn", 1e-300, "1e-300:1e-290:5", 1e-10)],
+         ("pvc", 0.5, "0.01:0.6:40", 1e-10), ("fn", 1e-300, "1e-300:1e-290:5", 1e-10),
+         # pvc up to z / q = 1 - 1e-6, past it, and below the rounding floor
+         ("pvc", 0.5, "0.3:0.4999995:9", 1e-6), ("pvc", 0.5, "0.3:0.7:9", 1e-10),
+         ("pvc", 0.95, "0.5:0.949905:12", 3.5e-14), ("pvc", 0.7, "1e-300:0.69:7", 1e-12)],
     )
     def test_eos_bytes_are_the_scalar_writers(self, model, q, grid, tol):
         argv = ["eos", "--model", model, "--q", repr(q), "--grid", grid, "--tol", repr(tol)]

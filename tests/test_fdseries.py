@@ -9,6 +9,7 @@ mpmath cross-checks at the end compare against polylogarithms directly.
 
 import math
 import re
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -16,8 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfermi import SeriesConvergenceError, f_gen, f_gen_array, h_gen, standard_fd
-from qfermi.fdseries import _CHUNK, _MAX_TERMS, _PAIRWISE_DEPTH, _PositiveSum, _cutoff
+from qfermi import (
+    SeriesConvergenceError,
+    f_gen,
+    f_gen_array,
+    fdseries,
+    h_gen,
+    h_gen_array,
+    standard_fd,
+)
+from qfermi.fdseries import _CHUNK, _MAX_TERMS, _PAIRWISE_DEPTH, _direct_cutoff, _direct_tail
+from qfermi.thermo import pvc_eos, pvc_eos_array
 
 # -Li_{5/2}(-0.1), 40-digit evaluation
 F_52_AT_POINT_ONE = 0.09829342634208691272342299024886014558
@@ -253,10 +263,13 @@ def test_f_matches_polylog_within_bound(order, y, q, log_tol):
 @example(order=1.0, q=0.2, r=1.190437836379853e-217, log_tol=-3.0)
 @example(order=1.0, q=0.201171875, r=1.0305369408260574e-235, log_tol=-3.0)
 @example(order=1.0, q=0.25, r=2.0322365316154066e-215, log_tol=-3.0)
+# near z/q = 1 at small order: the rounding of z/q, corrected to first order
+# by the exact remainder z - r q, no longer sets a floor above 1e-13
+@example(order=0.5, q=0.95, r=0.9999, log_tol=-13.0)
 def test_h_matches_two_polylogs_within_bound(order, q, r, log_tol):
     tol = 10.0**log_tol
     z = r * q
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         _assert_within_bound(h_gen(order, z, q, tol), _h_ref(order, z, q), tol)
 
 
@@ -298,6 +311,28 @@ def test_numpy_sum_is_the_assumed_pairwise_tree():
         a = rng.random(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
         assert _pairwise_sum(a.tolist()) == float(np.add.reduce(a))
     assert max(_pairwise_depth(n) for n in range(1, _CHUNK + 1)) == _PAIRWISE_DEPTH
+    for n in range(_CHUNK + 1):  # the bound each piece of a direct sum is given
+        assert fdseries._pairwise_depth(n) == (_pairwise_depth(n) if n <= 128 else _PAIRWISE_DEPTH)
+
+
+def test_numpy_layout_keeps_the_bits():
+    # the array pass of h_gen equals the scalar bit for bit because a row of
+    # a 2-D block, a strided slice included, reduces (and dots) to the bits
+    # of the 1-D call, and a broadcast np.power gives the bits of the 1-D one
+    rng = np.random.default_rng(11)
+    for length in (1, 7, 8, 63, 64, 65, 129, 1000, _CHUNK, _CHUNK + 64):
+        block = rng.random((4, length)) * 10.0 ** rng.uniform(-5.0, 5.0, (4, length))
+        k = np.arange(1.0, length + 1.0)
+        for split in sorted({0, min(64, length), length}):
+            for part in (block[:, :split], block[:, split:]):
+                rows = [np.add.reduce(row.copy()) for row in part]
+                assert np.add.reduce(part, axis=-1).tolist() == rows
+        assert np.vecdot(block, k).tolist() == [np.dot(row.copy(), k) for row in block]
+        r = rng.uniform(0.0, 1.0, 4) ** 0.01
+        ks = k + rng.integers(0, 10**6, 4)[:, None]
+        for i in range(4):
+            assert np.power(r[:, None], ks)[i].tolist() == np.power(r[i], ks[i].copy()).tolist()
+            assert np.power(ks, -2.37)[i].tolist() == np.power(ks[i].copy(), -2.37).tolist()
 
 
 @pytest.mark.parametrize("order", [0.5, 1.5, 2.5, 3.5])
@@ -330,8 +365,7 @@ def test_tolerance_below_rounding_floor_raises(order):
 
 
 def _doubling_cutoff(bound, tol, start):
-    """The cutoff search this module used before the estimate: double from
-    `start`, then bisect; the reference for `_cutoff`."""
+    """Double from `start`, then bisect: the reference for `_direct_cutoff`."""
     if bound(start) <= tol:
         return start
     lo, hi = start, 2 * start
@@ -351,31 +385,48 @@ def _doubling_cutoff(bound, tol, start):
 @pytest.mark.parametrize("r", [1e-200, 1e-9, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-7, 1 - 2**-52])
 @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
 def test_cutoff_matches_doubling_search(r, order):
-    series = _PositiveSum(r, order + 1.0)
-    for tol in (1e-300, 1e-15, 1e-10, 1e-6, 1e-2, 10.0):
-        for start in (1, 7, 100, 5000):
-            try:
-                got = _cutoff(series, tol, start)
-            except SeriesConvergenceError:
-                got = None
-                assert series.tail(_MAX_TERMS) > tol
-            try:
-                expected = _doubling_cutoff(series.tail, tol, start)
-            except SeriesConvergenceError:
-                # doubling gives up at its last point below _MAX_TERMS, which
-                # lies above _MAX_TERMS / 2; _cutoff goes on to _MAX_TERMS
-                if got is not None:
-                    assert got > _MAX_TERMS // 2
-                    assert series.tail(got) <= tol < series.tail(got - 1)
-                continue
-            assert got == expected, (tol, start)
+    expo = order + 1.0
+
+    def tail(n):
+        return float(_direct_tail(r, expo, np.array([n]))[0])
+
+    cases = [(tol, start) for tol in (1e-300, 1e-15, 1e-10, 1e-6, 1e-2, 10.0)
+             for start in (1, 7, 100, 5000)]
+    tols, starts = (np.array(column) for column in zip(*cases))
+    cutoffs, tails = _direct_cutoff(np.full(len(cases), r), expo, tols, starts)
+    for (tol, start), got, got_tail in zip(cases, cutoffs.tolist(), tails.tolist()):
+        try:
+            scalar = _direct_cutoff(r, expo, tol, start)
+        except SeriesConvergenceError:
+            scalar = (0, None)
+            assert tail(_MAX_TERMS) > tol
+        assert got == scalar[0]  # the array form holds 0 where the float raises
+        if got:
+            assert got_tail == scalar[1] == tail(got)
+        try:
+            expected = _doubling_cutoff(tail, tol, start)
+        except SeriesConvergenceError:
+            # doubling gives up at its last point below _MAX_TERMS, which
+            # lies above _MAX_TERMS / 2; the cutoff goes on to _MAX_TERMS
+            if got:
+                assert got > _MAX_TERMS // 2
+                assert tail(got) <= tol < tail(got - 1)
+            continue
+        assert got == expected, (tol, start)
 
 
 def test_cutoff_term_cap():
-    series = _PositiveSum(1 - 1e-7, 1.5)
-    assert _cutoff(series, series.tail(18_000_000), 1) == 18_000_000
-    with pytest.raises(SeriesConvergenceError):
-        _cutoff(series, series.tail(_MAX_TERMS + 1), 1)
+    r, expo = 1 - 1e-7, 1.5
+
+    def tail(n):
+        return float(_direct_tail(r, expo, np.array([n]))[0])
+
+    assert _direct_cutoff(r, expo, tail(18_000_000), 1) == (18_000_000, tail(18_000_000))
+    with pytest.raises(SeriesConvergenceError, match="needs more than"):
+        _direct_cutoff(r, expo, tail(_MAX_TERMS + 1), 1)
+    tols = np.array([tail(18_000_000), tail(_MAX_TERMS + 1)])
+    cutoffs, _ = _direct_cutoff(np.full(2, r), expo, tols, np.ones(2, dtype=np.int64))
+    assert cutoffs.tolist() == [18_000_000, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +488,131 @@ def test_f_gen_array_keeps_shape_and_rejects_what_f_gen_rejects():
             f_gen(order, q, bad, tol)
         with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
             f_gen_array(order, q, np.array(zs), tol)
+
+
+# ---------------------------------------------------------------------------
+# the array twin of h_gen
+
+# z / q, from the tiny to past the edge: up to 1 - 1e-6 some direct sums run
+# to millions of terms, past _CHUNK per point
+_TWIN_R = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.9999, 1.0 - 1e-6, 1.0, 1.5]),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.floats(min_value=0.99, max_value=1.0 - 1e-6),
+)
+
+
+def _h_scalar_column(order, zs, q, tol):
+    """(values, bounds, terms, raised) of h_gen called point by point."""
+    rows = []
+    for z in zs:
+        try:
+            out = h_gen(order, z, q, tol)
+            rows.append((out.value, out.error_bound, out.terms_used, False))
+        except SeriesConvergenceError:
+            rows.append((math.nan, math.nan, 0, True))
+    values, bounds, terms, raised = zip(*rows)
+    return np.array(values), np.array(bounds), list(terms), list(raised)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.floats(min_value=0.5, max_value=3.5),
+    q=st.one_of(st.floats(min_value=0.05, max_value=0.99), st.sampled_from([1e-300, 0.95])),
+    rs=st.lists(_TWIN_R, min_size=1, max_size=12),
+    # down to the rounding floor, and tol * 2 |ln q| underflowing at -323
+    log_tol=st.one_of(st.floats(min_value=-15.0, max_value=-3.0), st.just(-323.0)),
+)
+@example(order=0.5, q=0.95, rs=[0.9999, 0.5, 1.0 - 1e-6, 2.0, 0.0], log_tol=-13.0)
+def test_h_gen_array_is_h_gen_bit_for_bit(order, q, rs, log_tol):
+    tol = max(10.0**log_tol, 5e-324)
+    zs = [r * q for r in rs]
+    values, bounds, terms, raised = _h_scalar_column(order, zs, q, tol)
+    with np.errstate(all="raise"):
+        out, mask = h_gen_array(order, np.array(zs), q, tol)
+    assert mask.tolist() == raised
+    assert out.value.view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert out.error_bound.view(np.int64).tolist() == bounds.view(np.int64).tolist()
+    assert out.terms_used.tolist() == terms
+
+
+# z, q and tol at their extremes: non-finite, negative and subnormal z, q
+# next to 0 and to 1, tolerances from the smallest double to 1e300
+_ANY_Z = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, math.nan]),
+)
+_EXTREME_Q = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0, -0.5, math.nan]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+_EXTREME_TOL = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-13, 1e300, 1.7976931348623157e308, 0.0, math.inf]),
+    st.floats(min_value=1e-15, max_value=1e-3),
+)
+
+
+def _first_error(func, points):
+    """The ValueError a loop of func over points raises, or None; the
+    SeriesConvergenceErrors of single points are skipped as the twins mask
+    them."""
+    for point in points:
+        try:
+            func(point)
+        except SeriesConvergenceError:
+            continue
+        except ValueError as exc:
+            return exc
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.sampled_from([0.5, 1.5, 2.5, 0.3]), q=_EXTREME_Q, tol=_EXTREME_TOL,
+       zs=st.lists(st.one_of(_ANY_Z, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+def test_h_is_finite_or_a_typed_error(order, q, tol, zs):
+    zs = [z * q if math.isfinite(q) and 0.0 <= z <= 1.0 else z for z in zs]
+    for z in zs:
+        try:
+            out = h_gen(order, z, q, tol)
+        except ValueError:  # SeriesConvergenceError included
+            continue
+        assert math.isfinite(out.value) and 0.0 <= out.error_bound <= tol
+    expected = _first_error(lambda z: h_gen(order, z, q, tol), zs)
+    if expected is not None:
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            h_gen_array(order, np.array(zs), q, tol)
+        return
+    with np.errstate(all="raise"):
+        out, mask = h_gen_array(order, np.array(zs), q, tol)
+    assert np.isfinite(out.value[~mask]).all() and np.isnan(out.value[mask]).all()
+
+
+_EXTREME_G = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308, 0.0, -1.0, math.inf]),
+    st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=_EXTREME_Q, tol=_EXTREME_TOL, g_mult=_EXTREME_G,
+       zs=st.lists(st.one_of(_ANY_Z, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+# 1 / ln q near -1e16: the entropy overflows before a bad z, and after one
+@example(q=1.0 - 2.0**-53, tol=1e300, g_mult=1e300, zs=[0.25, 0.5, -1.0])
+@example(q=1.0 - 2.0**-53, tol=1e300, g_mult=1e300, zs=[0.0, math.nan, 0.5])
+def test_pvc_eos_is_finite_or_a_typed_error(q, tol, g_mult, zs):
+    zs = [z * q if math.isfinite(q) and 0.0 <= z <= 1.0 else z for z in zs]
+    for z in zs:
+        try:
+            state = pvc_eos(q, z, g_mult, tol)
+        except ValueError:
+            continue
+        assert all(map(math.isfinite, astuple(state)))
+    expected = _first_error(lambda z: pvc_eos(q, z, g_mult, tol), zs)
+    if expected is not None:
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            pvc_eos_array(q, np.array(zs), g_mult, tol)
+        return
+    with np.errstate(all="raise"):
+        state, skipped = pvc_eos_array(q, np.array(zs), g_mult, tol)
+    for column in astuple(state):
+        assert np.isfinite(column[~skipped]).all() and np.isnan(column[skipped]).all()
