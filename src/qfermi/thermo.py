@@ -22,12 +22,14 @@ forms for PVC/VPJC arise from the occupation-ratio condition
 [n]/[n+1] = exp(-eta); `occupation_ratio_solve` re-solves that condition
 by bisection as an independent cross-check.
 
-Each distribution and `fn_mu_lowT` has one body, its array kernel; the
-public scalar is a one-element call of it (8 to 18 us on a 2-vCPU Xeon VM,
-where a `math` body takes 0.25 to 0.6 us).  The equations of state and the
-numeric chemical potential stay pairs of a scalar and its bit-identical
-`*_array` twin: a one-element twin call costs 17 to 30 times the scalar,
-and the series benchmark times the scalar EOS forms.  `MODELS` holds each
+Each distribution, `fn_mu_lowT` and `fn_mu_numeric` has one body, its
+array kernel; the public scalar is a one-element call of it (16 to 48 us for
+a distribution on a 2-vCPU Xeon VM, where a `math` body takes 0.25 to
+0.65 us; about 1 ms for `fn_mu_numeric`, whose bisection pays numpy's
+per-call overhead on each of its steps).  The equations of state stay pairs
+of a scalar and its bit-identical `*_array` twin, both taking ln z from
+numpy's log: a one-element twin call costs about 30 times the scalar, and
+the series benchmark times the scalar EOS forms.  `MODELS` holds each
 model's kernels in one record, with its trace levels and ratio constants,
 which the trace and solver read.
 
@@ -39,7 +41,6 @@ that disagreement as data rather than reconciling it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,25 +73,54 @@ def _eta_array(eta) -> np.ndarray:
 # for an array of eta, with nan in masked cells; its public scalar is a
 # one-element call that raises SingularPointError where the mask is set.
 # exp(-|eta|) is exp(-eta) for eta > 0 and exp(eta) otherwise, so one call
-# serves both branches.  The ufuncs and the arithmetic run under
-# np.errstate(all="ignore"), whatever the caller's numpy settings.
-# numpy's float64 exp, expm1 and log are within 1 ulp of the exact value, as
-# its accuracy tests hold them (1e5 random points read at most 0.67, 0.51
-# and 0.53 ulp on its AVX-512 loops), and so are libm's, which `math` calls;
-# the two agree on every cell only where numpy dispatches to libm.
+# serves both branches.  Past |eta| = _DEEP it is below 2**-1032, a
+# subnormal of at most 42 bits, fewer than a log-domain form keeps, which
+# loses about |eta| u (u = 2**-53) in rounding eta - ln q; there the kernels
+# take the log domain.
+# The ufuncs and the arithmetic run under np.errstate(all="ignore"),
+# whatever the caller's numpy settings.  numpy's float64 exp, expm1 and log
+# are within 1 ulp of the exact value, as its accuracy tests hold them (1e5
+# random points read at most 0.67, 0.51 and 0.53 ulp on its AVX-512 loops),
+# and so are libm's, which `math` calls; the two agree on every cell only
+# where numpy dispatches to libm.
+
+_MIN_NORMAL = 2.0**-1022
+_DEEP = 1032.0 * math.log(2.0)
 
 
-def _log_ratio(num: np.ndarray, den: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """log(num / den) per cell, nan where `singular`; where the quotient
-    underflows to 0 or overflows, log(num) - log(den), which stays finite.
-    Call under np.errstate(all="ignore")."""
+def _ladder_occupation(num, den, diff, eta, tail, b, log_q, k) -> tuple:
+    """(|log(num / den)| / (k |ln q|) per cell, the PVC (k = 2) and VPJC
+    (k = 1) closed forms, singular mask) with nan where num = 0, the
+    singular cells.  Where the ratio lies in [1/2, 3/2] its log is
+    log1p(diff / den), from diff = num - den in closed form, as a rounded
+    ratio near 1 would lose the log's leading digits; where the
+    quotient underflows to a subnormal or 0, or overflows, log(num) -
+    log(den), which keeps its digits.  Past |eta| = _DEEP, for eta < 0 and a
+    ratio far from 1, den = e + q (e = exp(eta)) is taken as
+    q (1 + exp(eta - ln q)), which a subnormal q needs; on the eta > 0 cells
+    `tail`, diff = -b exp(-eta), x = -diff is exp(ln b - eta), and where
+    ln x < -_DEEP too, the value x / c, c = k |ln q|, is
+    exp(ln b - eta - ln c).  Call under np.errstate(all="ignore")."""
+    singular = num == 0.0
     ratio = np.where(singular, np.nan, num / den)
-    edge = (ratio == 0.0) | (ratio == math.inf)
-    ratio[edge] = 1.0
+    near = np.abs(diff) <= 0.5 * den
+    edge = (ratio < _MIN_NORMAL) | (ratio == math.inf)
+    ratio[edge | near] = 1.0
     log_ratio = np.log(ratio, out=ratio)  # an array also for 0-d input
-    if edge.any():
-        log_ratio[edge] = np.log(num[edge]) - np.log(den[edge])
-    return log_ratio
+    log_ratio[edge] = np.log(num[edge]) - np.log(den[edge])
+    log_ratio[near] = np.log1p(diff[near] / den[near])
+    deep = np.abs(eta) > _DEEP
+    lower = deep & (eta < 0.0) & ~near
+    log_ratio[lower] = np.log(num[lower]) - log_q - np.log1p(np.exp(eta[lower] - log_q))
+    c = -k * log_q
+    values = np.abs(log_ratio, out=log_ratio)
+    values /= c
+    upper = deep & tail & near
+    if upper.any():
+        log_x = math.log(b) - eta[upper]
+        values[upper] = np.where(log_x < -_DEEP, np.exp(log_x - math.log(c)),
+                                 -np.log1p(-np.exp(log_x)) / c)
+    return values, singular
 
 
 def fn_distribution(eta: float, q: float) -> float:
@@ -105,7 +135,13 @@ def fn_distribution_array(eta, q: float) -> tuple:
     with np.errstate(all="ignore"):
         e = np.exp(-np.abs(eta))
         qe = q * e
-        return np.where(eta > 0.0, qe / (1.0 + qe), q / (e + q)), None
+        values = np.where(eta > 0.0, qe / (1.0 + qe), q / (e + q))
+        deep = np.abs(eta) > _DEEP  # the logistic function of x = ln q - eta
+        if deep.any():
+            x = math.log(q) - eta[deep]
+            ex = np.exp(-np.abs(x))
+            values[deep] = np.where(x < 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
+        return values, None
 
 
 def ckn_distribution(eta: float, q: float) -> float:
@@ -152,8 +188,8 @@ def pvc_distribution(eta: float, q: float) -> float:
 
 
 def pvc_distribution_array(eta, q: float) -> tuple:
-    """`pvc_distribution` at each point of the array `eta`, masked where
-    exp(eta) = 1/q."""
+    """`pvc_distribution` at each point of the array `eta`, masked at
+    eta = -ln q."""
     _require_open_unit_with_limit_hint(q, "PVC")
     if q <= 2.0**-1024:
         raise ValueError(f"the PVC distribution needs a finite 1/q, got q = {q}")
@@ -161,10 +197,16 @@ def pvc_distribution_array(eta, q: float) -> tuple:
     with np.errstate(all="ignore"):
         e = np.exp(-np.abs(eta))
         positive = eta > 0.0
-        num = np.where(positive, np.abs(1.0 - e / q), np.abs(e - 1.0 / q))
+        # |1 - e/q| for eta > 0 and 1/q - e otherwise, by expm1 of the gap to
+        # the singular point eta = -ln q
+        log_q = math.log(q)
+        gap_s = np.where(positive, -eta - log_q, eta + log_q)
+        num = np.abs(np.expm1(gap_s)) / np.where(positive, 1.0, q)
         den = np.where(positive, 1.0 + q * e, e + q)
-        singular = num == 0.0
-        return np.abs(_log_ratio(num, den, singular)) / (2.0 * abs(math.log(q))), singular
+        b, gap = q + 1.0 / q, (1.0 - q) * (1.0 + q) / q  # gap = 1/q - q
+        tail = positive & (e < q)
+        diff = np.where(tail, -b * e, np.where(positive, gap * e - 2.0, gap - 2.0 * e))
+        return _ladder_occupation(num, den, diff, eta, tail, b, log_q, 2.0)
 
 
 def vpjc_distribution(eta: float, q: float) -> float:
@@ -184,11 +226,12 @@ def vpjc_distribution_array(eta, q: float) -> tuple:
     _require_open_unit_with_limit_hint(q, "VPJC")
     eta = _eta_array(eta)
     t = -np.abs(eta)
-    singular = eta == 0.0
     with np.errstate(all="ignore"):
         e, m = np.exp(t), np.expm1(t)
-        den = np.where(eta > 0.0, 1.0 + q * e, e + q)
-        return np.abs(_log_ratio(-m, den, singular)) / abs(math.log(q)), singular
+        tail = eta > 0.0
+        den = np.where(tail, 1.0 + q * e, e + q)
+        diff = np.where(tail, -(1.0 + q) * e, (1.0 - q) - 2.0 * e)
+        return _ladder_occupation(-m, den, diff, eta, tail, 1.0 + q, math.log(q), 1.0)
 
 
 def vpjc_zero_crossing(q: float) -> float:
@@ -283,7 +326,6 @@ def occupation_ratio_solve(model: Model, eta: float, q: float) -> float:
     return math.log(y) / math.log(q)
 
 
-_MIN_NORMAL = 2.0**-1022
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -415,7 +457,7 @@ def fn_eos(q: float, z: float, tol: float = 1e-10) -> EosPoint:
         pressure=pressure,
         density=density,
         energy_density=1.5 * pressure,
-        entropy=ratio - math.log(z),
+        entropy=ratio - float(np.log(z)),
     )
 
 
@@ -425,15 +467,6 @@ def ckn_eos(q: float, z: float, tol: float = 1e-10) -> EosPoint:
     return fn_eos(1.0 / q, z, tol)
 
 
-def _map(func: Callable, a: np.ndarray) -> np.ndarray:
-    """`func` of each element of `a`, by the scalar `math` function itself.
-    Only twins of a scalar form that computes in `math`, and whose bits a test
-    pins to it, use this: the entropy's log z in `fn_eos_array` and log q in
-    the `mu` twins (numpy's log differs from `math.log` in the last bit on
-    some inputs)."""
-    return np.fromiter(map(func, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 # Each `*_eos_array` twin returns (EosPoint of arrays, skipped mask) for an
 # array of z: the mask is set exactly where the scalar form raises
 # SeriesConvergenceError, and those cells hold nan.  A ValueError of the
@@ -441,24 +474,28 @@ def _map(func: Callable, a: np.ndarray) -> np.ndarray:
 
 
 def fn_eos_array(q: float, z, tol: float = 1e-10) -> tuple:
-    """`fn_eos` at each point of the array `z`, bit for bit."""
+    """`fn_eos` at each point of the array `z`, bit for bit; raises the
+    ValueError of a loop of `fn_eos`."""
     require_positive_q(q)
     z = np.asarray(z, dtype=float)
-    bad = ~(z > 0.0)
-    if bad.any():
-        raise ValueError(f"fugacity must be positive, got {float(z[bad][0])}")
+    flat = z.ravel()
+    bad = ~(flat > 0.0)
+    stop = int(bad.argmax()) if bad.any() else flat.size  # where such a loop meets a bad z
     with np.errstate(all="ignore"):
-        live = q * z < 1.0
-        pressure, p_failed = f_gen_array(2.5, q, z[live], tol)
-        density, d_failed = f_gen_array(1.5, q, z[live], tol)
+        live = np.zeros(flat.shape, dtype=bool)
+        live[:stop] = q * flat[:stop] < 1.0
         skipped = ~live
-        skipped[live] = p_failed | d_failed
-        columns = np.full((2,) + z.shape, np.nan)
-        columns[0][live], columns[1][live] = pressure.value, density.value
+        columns = np.full((2,) + flat.shape, np.nan)
+        if live.any():  # the loop checks tol at its first live point
+            (p, p_failed), (d, d_failed) = (f_gen_array(s, q, flat[live], tol) for s in (2.5, 1.5))
+            columns[0][live], columns[1][live] = p.value, d.value
+            skipped[live] = p_failed | d_failed
+        if stop < flat.size:
+            raise ValueError(f"fugacity must be positive, got {float(flat[stop])}")
         columns[:, skipped] = np.nan
-        p, d = columns
-        entropy = np.where(d == 0.0, 2.5, 2.5 * p / d) - _map(math.log, z)
-        return EosPoint(p, d, 1.5 * p, entropy), skipped
+        p, d = columns.reshape((2,) + z.shape)
+        entropy = np.where(d == 0.0, 2.5, 2.5 * p / d) - np.log(z)
+        return EosPoint(p, d, 1.5 * p, entropy), skipped.reshape(z.shape)
 
 
 def ckn_eos_array(q: float, z, tol: float = 1e-10) -> tuple:
@@ -627,25 +664,7 @@ def fn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
     L = ln(q z), solves for L by bisection and returns t ln z = t (L - ln q).
     Agrees with `fn_mu_lowT` through second order in t.
     """
-    _validate_t(t)
-    require_positive_q(q)
-    if sommerfeld_terms not in (1, 2, 3):
-        raise ValueError("sommerfeld_terms must be 1, 2 or 3")
-    coeffs = _SOMMERFELD[:sommerfeld_terms]
-
-    def lhs(big_l: float) -> float:
-        bracket = math.fsum(c * big_l ** (-2 * k) for k, c in enumerate(coeffs))
-        return t**1.5 * big_l**1.5 * bracket - 1.0
-
-    lo, hi = 1.5, max(4.0, 4.0 / t)
-    # for t below about 1e-205, 4/t or (4/t)**1.5 overflows
-    if hi == math.inf:
-        raise ValueError(_MU_OVERFLOW)
-    try:
-        big_l = _bisect(lhs, lo, hi)
-    except OverflowError:
-        raise ValueError(_MU_OVERFLOW) from None
-    return t * (big_l - math.log(q))
+    return float(fn_mu_numeric_array(t, q, sommerfeld_terms))
 
 
 def ckn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
@@ -669,15 +688,16 @@ def _t_array(t) -> np.ndarray:
 
 def _q_array(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    for value in q.ravel().tolist():
-        require_positive_q(value)
+    bad = ~((q > 0.0) & (q < math.inf))
+    if bad.any():
+        require_positive_q(float(q[bad][0]))
     return q
 
 
 def fn_mu_lowT_array(t, q) -> np.ndarray:
     """`fn_mu_lowT` at each point of t and q broadcast."""
     t = _t_array(t)
-    log_q = _map(math.log, _q_array(q))
+    log_q = np.log(_q_array(q))
     with np.errstate(all="ignore"):
         return -t * log_q + 1.0 - (math.pi**2 / 12.0) * t * t
 
@@ -693,43 +713,32 @@ def ckn_mu_lowT_array(t, q) -> np.ndarray:
     return fn_mu_lowT_array(t, _inverse_q(q))
 
 
-def _power(a: np.ndarray, exponent) -> np.ndarray:
-    """a**exponent per element by the float power of Python, as the scalar
-    forms compute it (numpy's power can differ in the last bit)."""
-    return np.fromiter(map(pow, a.tolist(), itertools.repeat(exponent)), float, a.size)
-
-
 def fn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
     """`fn_mu_numeric` at each point of t and q broadcast.  The root L of the
     density equation depends on t only, so it is solved once per t, by one
     bisection over all t at once, and shifted by ln q for each q."""
     t = _t_array(t)
-    log_q = _map(math.log, _q_array(q))
+    log_q = np.log(_q_array(q))
     if sommerfeld_terms not in (1, 2, 3):
         raise ValueError("sommerfeld_terms must be 1, 2 or 3")
-    coeffs = _SOMMERFELD[:sommerfeld_terms]
+    coeffs = _SOMMERFELD[sommerfeld_terms - 1 :: -1]
     flat = t.ravel()
-    t_factor = _power(flat, 1.5)
 
     def lhs(big_l: np.ndarray, rows) -> np.ndarray:
-        # the terms c_k L**(-2k) of the bracket; for k = 0 it is c_0 exactly
-        terms = [c * _power(big_l, -2 * k) for k, c in enumerate(coeffs) if k]
-        if len(terms) == 2:  # math.fsum of three is not (a + b) + c
-            columns = zip(itertools.repeat(coeffs[0]), *(x.tolist() for x in terms))
-            bracket = np.fromiter(map(math.fsum, columns), float, big_l.size)
-        else:  # math.fsum of at most two is their rounded sum
-            bracket = sum(terms, coeffs[0])
-        return t_factor[rows] * _power(big_l, 1.5) * bracket - 1.0
+        # the bracket sum c_k L**(-2k) by Horner's rule in L**-2
+        x, bracket = np.power(big_l, -2.0), coeffs[0]
+        for c in coeffs[1:]:
+            bracket = bracket * x + c
+        return t_factor[rows] * np.power(big_l, 1.5) * bracket - 1.0
 
     with np.errstate(all="ignore"):
+        t_factor = np.power(flat, 1.5)
         lo = np.full(flat.shape, 1.5)
         hi = np.maximum(4.0, 4.0 / flat)
-        if (hi == math.inf).any():
+        # for t below about 1e-205, 4/t or (4/t)**1.5 overflows
+        if not np.isfinite(np.power(hi, 1.5)).all():
             raise ValueError(_MU_OVERFLOW)
-        try:
-            big_l = _bisect_array(lhs, lo, hi).reshape(t.shape)
-        except OverflowError:
-            raise ValueError(_MU_OVERFLOW) from None
+        big_l = _bisect_array(lhs, lo, hi).reshape(t.shape)
         return t * (big_l - log_q)
 
 
@@ -775,7 +784,7 @@ MODELS = {
     Model.PVC: ModelThermo(
         pvc_distribution_array,
         q1_limit_distribution_array,
-        singular=lambda q: (math.log(1.0 / q),),
+        singular=lambda q: (-math.log(q),),
         eos_array=pvc_eos_array,
         trace_levels=lambda q, n_max, d: _ladder(Model.PVC, q, n_max),
         ratio=lambda q: (1.0 / q, 2, q),

@@ -321,9 +321,9 @@ def check_thermo(seed=0, **_):
     # entropy direction recorded, not asserted: the per-volume PVC entropy
     # form carries no -ln(z) term, and the measured direction flips
     rec.expect("fn_pvc_entropy_recorded", "fn_entropy_lower" in comparison)
-    mu_qs = (0.5, 1.0, 2.0)
-    mu = {q: thermo.fn_mu_numeric(0.05, q) for q in mu_qs}
-    for q, closed in zip(mu_qs, thermo.fn_mu_lowT_array(0.05, np.array(mu_qs)).tolist()):
+    mu_qs = np.array([0.5, 1.0, 2.0])
+    mu = dict(zip(mu_qs.tolist(), thermo.fn_mu_numeric_array(0.05, mu_qs).tolist()))
+    for q, closed in zip(mu, thermo.fn_mu_lowT_array(0.05, mu_qs).tolist()):
         rec.expect(
             f"mu_agreement_q{q}",
             abs(mu[q] - closed) / abs(closed) < 1e-3,

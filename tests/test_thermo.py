@@ -724,16 +724,19 @@ def _reference_vpjc_distribution(eta: float, q: float) -> float:
     else:
         num, den = -math.expm1(eta), math.exp(eta) + q
     ratio = num / den
-    # a subnormal num over den >= 1 can round to 0; its log is still finite
-    log_ratio = math.log(ratio) if ratio != 0.0 else math.log(num) - math.log(den)
+    # a subnormal num over den >= 1 rounds to a subnormal or 0, which has lost
+    # bits; the log of the ratio is log(num) - log(den)
+    log_ratio = math.log(ratio) if ratio >= 2.0**-1022 else math.log(num) - math.log(den)
     return abs(log_ratio) / abs(math.log(q))
 
 
 def _reference_fn_mu_lowT(t: float, q: float) -> float:
-    """Closed-form mu/eps_F = -t ln q + 1 - (pi**2/12) t**2."""
+    """Closed-form mu/eps_F = -t ln q + 1 - (pi**2/12) t**2, with ln q from
+    numpy's log, as the kernels and the EOS forms take it (`math.log` differs
+    from it in the last bit on about 1e-3 of inputs)."""
     _validate_t(t)
     require_positive_q(q)
-    return -t * math.log(q) + 1.0 - (math.pi**2 / 12.0) * t * t
+    return -t * float(np.log(q)) + 1.0 - (math.pi**2 / 12.0) * t * t
 
 
 def _reference_ckn_mu_lowT(t: float, q: float) -> float:
@@ -976,6 +979,71 @@ def test_tiny_q_matches_mpmath(model, q):
         assert DISTRIBUTIONS[model](eta, q) == value
 
 
+# every kernel cell against 50-digit mpmath: |n - exact| <= K u (1 + cond) exact,
+# plus one subnormal ulp, where u = 2**-53 and cond = |eta dn/deta| / n +
+# |q dn/dq| / n sums the relative condition numbers in eta and in q.  The q
+# term is needed where n is ill-conditioned in q: PVC near its zero crossing
+# at eta ~ 0 (q ~ sqrt(2) - 1), where the kernels' one rounding of 1/q - q
+# alone costs about 1000 u against u cond_eta.  Measured worst K over 800 to
+# 1500 draws: 1.3 (FN), 1.5 (CKN), 2.6 (VPJC), 4.0 (PVC, as eta -> -inf at
+# q -> 1).
+_GATE_K = 8.0
+_UNIT_OPEN_Q = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-1074.0, max_value=-1e-3).map(lambda x: 2.0**x),
+    st.floats(min_value=1.0, max_value=53.0).map(lambda k: 1.0 - 2.0**-k),
+)
+# where a cell lies on a branch edge: the PVC singular point ln(1/q) and
+# zero crossing ln((1 - q^2) / (2 q)), the VPJC zero crossing ln((1 - q) / 2)
+_EDGES = (lambda q: -math.log(q), lambda q: math.log((1.0 - q) * (1.0 + q) / (2.0 * q)),
+          lambda q: math.log((1.0 - q) / 2.0))
+
+
+def _mp_occupation(model, eta, q):
+    e = mpmath.exp(eta)
+    if model in (Model.FN, Model.CKN):
+        q = q if model is Model.FN else 1 / q
+        return q / (e + q)
+    if model is Model.PVC:
+        return abs(mpmath.log(abs(e - 1 / q) / (e + q))) / (2 * abs(mpmath.log(q)))
+    return abs(mpmath.log(abs(mpmath.expm1(eta)) / (e + q))) / abs(mpmath.log(q))
+
+
+@pytest.mark.parametrize("model", [Model.FN, Model.CKN, Model.PVC, Model.VPJC])
+@settings(max_examples=60, deadline=None)
+@given(q=_UNIT_OPEN_Q, data=st.data())
+@example(q=0.5, data=None)
+def test_every_kernel_cell_is_within_its_condition_bound(model, q, data):
+    # a log of a ratio near 1 (the VPJC and PVC eta -> +inf tails, q near 1)
+    # loses u / |log ratio| relative; a subnormal exp(-|eta|) loses bits
+    edges = [x for x in (f(q) for f in _EDGES) if abs(x) <= 745.0]
+    near_edge = st.sampled_from(edges).flatmap(
+        lambda x: st.floats(-1.0, 1.0).map(lambda r: x * (1.0 + 1e-6 * r) + 1e-300 * r))
+    if data is None:  # the eta -> +inf tail
+        etas = [10.0, 20.0, 30.0, 36.0, 40.0, 100.0, 700.0, 710.0, 740.0]
+    else:
+        etas = data.draw(st.lists(st.one_of(st.floats(-745.0, 745.0), near_edge),
+                                  min_size=1, max_size=8), label="etas")
+    try:
+        values, mask = MODELS[model].distribution_array(np.array(etas), q)
+    except ValueError:  # CKN and PVC need a finite 1/q
+        assert q < 2.0**-1023
+        return
+    mask = np.zeros(len(etas), dtype=bool) if mask is None else mask
+    for eta, got, singular in zip(etas, values.tolist(), mask.tolist()):
+        if singular:
+            continue
+        with mpmath.workdps(50 + int(abs(eta) / 2.3)):  # n ~ exp(-eta) is resolved
+            x, y = mpmath.mpf(eta), mpmath.mpf(q)
+            n = _mp_occupation(model, x, y)
+            if n == 0:  # a zero crossing
+                continue
+            cond = abs(x * mpmath.diff(lambda v: _mp_occupation(model, v, y), x) / n)
+            cond += abs(y * mpmath.diff(lambda v: _mp_occupation(model, x, v), y) / n)
+            bound = _GATE_K * 2.0**-53 * (1 + cond) * n + math.ulp(0.0)
+            assert abs(got - n) <= bound, (eta, got, float(n), float(cond))
+
+
 def test_pvc_needs_a_finite_inverse_q():
     for q in (5e-324, 2.0**-1024):
         message = re.escape(f"the PVC distribution needs a finite 1/q, got q = {q}")
@@ -1107,16 +1175,21 @@ def test_eos_twin_is_the_scalar_bit_for_bit(model, data):
 @pytest.mark.parametrize("model", [Model.FN, Model.CKN, Model.PVC])
 def test_eos_twin_raises_the_scalars_value_error(model):
     record = MODELS[model]
-    for q, zs, g_mult in ((0.5, [0.3, -0.1, 0.2], 1.0), (0.5, [0.3, math.nan], 1.0),
-                          (-0.5, [0.3], 1.0), (0.5, [0.3], -1.0), (0.5, [0.3], math.inf)):
-        bad = next((z for z in zs if not z > 0.0), zs[0])
-        try:
-            EOS[model](q, bad, g_mult, 1e-10)
+    for q, zs, g_mult, tol in ((0.5, [0.3, -0.1, 0.2], 1.0, 1e-10),
+                               (0.5, [0.3, math.nan], 1.0, 1e-10), (-0.5, [0.3], 1.0, 1e-10),
+                               (0.5, [0.3], -1.0, 1e-10), (0.5, [0.3], math.inf, 1e-10),
+                               (0.5, [0.3, -1.0], 1.0, 0.0), (0.5, [3.0, -1.0], 1.0, 0.0)):
+        try:  # a loop of the scalar, which skips the points past its series edge
+            for z in zs:
+                try:
+                    EOS[model](q, z, g_mult, tol)
+                except SeriesConvergenceError:
+                    pass
         except ValueError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                record.eos_array(q, np.array(zs), g_mult, 1e-10)
+                record.eos_array(q, np.array(zs), g_mult, tol)
         else:  # fn and ckn ignore g_mult
-            record.eos_array(q, np.array(zs), g_mult, 1e-10)
+            record.eos_array(q, np.array(zs), g_mult, tol)
 
 
 def test_eos_twin_keeps_shape_and_ignores_numpy_error_settings():
@@ -1186,3 +1259,32 @@ def test_mu_twins_raise_the_scalars_value_error(name, ts, q):
             twin(np.array(ts), q)
     with pytest.raises(ValueError, match=re.escape(str(_outcome(closed, bad, q)[1]))):
         _MU_REFERENCE[name](bad, q)
+
+
+def _mp_density_root(t: float, terms: int) -> mpmath.mpf:
+    """The root L of t**1.5 L**1.5 (1 + (pi**2/8) L**-2 + (7 pi**4/640) L**-4) = 1,
+    cut to `terms` terms, by mpmath.findroot at 40 digits."""
+    coeffs = [1, mpmath.pi**2 / 8, 7 * mpmath.pi**4 / 640][:terms]
+    t = mpmath.mpf(t)
+
+    def f(big_l):
+        return (t * big_l) ** 1.5 * sum(c * big_l ** (-2 * k) for k, c in enumerate(coeffs)) - 1
+
+    return mpmath.findroot(f, (mpmath.mpf(1.5), 4 / t), solver="anderson")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_t=st.floats(min_value=math.log(1e-12), max_value=math.log(0.2)),
+    q=st.sampled_from([0.5, 1.0, 2.0]),
+    terms=st.sampled_from([1, 2, 3]),
+)
+@example(log_t=math.log(1e-200), q=1.0, terms=2)
+def test_mu_root_matches_an_independent_root(log_t, q, terms):
+    # the kernel bisects the density equation; the reference solves it afresh
+    t = min(math.exp(log_t), 0.2)
+    mu = fn_mu_numeric(t, q, terms)
+    with mpmath.workdps(40):
+        root = _mp_density_root(t, terms)
+        big_l = mpmath.mpf(mu) / t + float(np.log(q))
+        assert abs(big_l - root) <= 8 * 2.0**-53 * root
