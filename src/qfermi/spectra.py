@@ -9,7 +9,8 @@ Each closed form is one array kernel over a range of levels: the powers
 come from Python's float pow, one per level (numpy's power differs in the
 last bit for some q), and the rest of the formula is numpy's `+ - * /` in
 the order the formula reads, so a level of a table is the same float as
-the level alone.  The scalar forms are one-level calls of the kernels.
+the level alone (Arik-Coon's levels near q = 1 take `math.expm1` and
+`math.log1p` per level).  The scalar forms are one-level calls of the kernels.
 """
 
 from __future__ import annotations
@@ -68,9 +69,16 @@ def _vpjc(q: float, levels: range) -> np.ndarray:
 
 
 def _arik_coon(q: float, levels: range) -> np.ndarray:
+    n = np.arange(levels.start, levels.stop, dtype=float)
     if q == 1.0:
-        return np.arange(levels.start, levels.stop, dtype=float)
-    return (1.0 - _powers(q, levels)) / (1.0 - q)
+        return n
+    values = (1.0 - _powers(q, levels)) / (1.0 - q)
+    # where |n ln q| <= 1, 1 - q**n cancels: (q**n - 1)/(q - 1) as expm1 of n log1p(q - 1)
+    near = (n >= 1.0) & (n * abs(math.log(q)) <= 1.0)
+    if near.any():
+        slope = math.log1p(q - 1.0)
+        values[near] = [math.expm1(k * slope) / (q - 1.0) for k in n[near].tolist()]
+    return values
 
 
 _KERNELS = {

@@ -279,6 +279,26 @@ class TestCheck:
     def test_seed_changes_nothing_observable(self, capsys):
         assert main(["check", "--group", "fock", "--seed", "123"]) == 0
 
+    def test_seeds_0_to_9_pass_with_unique_row_names(self, capsys):
+        for seed in range(10):
+            assert main(["check", "--seed", str(seed)]) == 0
+            for result in verify.run_checks(seed=seed):
+                names = [row.name for row in result.rows]
+                assert len(set(names)) == len(names), result.name
+
+    def test_fault_in_the_q1_kernel_fails_undeformed_limits(self, monkeypatch):
+        # FN and CKN at q = 1 and the plain Fermi-Dirac limit all run this kernel
+        kernel = thermo.fn_distribution_array
+
+        def faulty(eta, q):
+            values, mask = kernel(eta, q)
+            return (values + 1e-9 if q == 1.0 else values), mask
+
+        monkeypatch.setattr(thermo, "fn_distribution_array", faulty)
+        (result,) = verify.run_checks(["thermo"])
+        assert not result.ok
+        assert result.detail.startswith("undeformed_limits: residual")
+
 
 class TestFigure:
     def test_fig1_schema(self, tmp_path):

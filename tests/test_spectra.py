@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,20 @@ class TestArikCoon:
         assert arik_coon_basic(3, 0.5) == pytest.approx(1.75, abs=1e-15)
 
 
+def test_arik_coon_is_within_4_ulps_of_mpmath():
+    # near q = 1, where 1 - q**n cancels, and across q in [1e-3, 10]; n <= 300
+    rng = np.random.default_rng(12)
+    size = 20_000
+    near = 1.0 + rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-15.0, math.log10(0.5), size)
+    qs = np.where(rng.random(size) < 0.5, near, 10.0 ** rng.uniform(-3.0, 1.0, size))
+    worst = 0.0
+    with mpmath.workdps(60):
+        for q, n in zip(qs.tolist(), rng.integers(1, 301, size).tolist()):
+            exact = (mpmath.mpf(q) ** n - 1) / (mpmath.mpf(q) - 1)
+            worst = max(worst, float(abs(arik_coon_basic(n, q) - exact) / exact))
+    assert worst <= 4 * 2.0**-53
+
+
 class TestBasicFactorial:
     def test_empty_product(self):
         assert basic_factorial(Model.VPJC, 0, 0.4) == 1.0
@@ -260,7 +275,12 @@ def _reference_level(model: Model, n: int, q: float) -> float:
         Model.CKN: lambda: 0.0 if n % 2 == 0 else q ** (1 - n),
         Model.PVC: lambda: ((1.0 / q) ** n - sign * q**n) / (q + 1.0 / q),
         Model.VPJC: lambda: (1.0 - sign * q**n) / (1.0 + q),
-        Model.ARIK_COON: lambda: float(n) if q == 1.0 else (1.0 - q**n) / (1.0 - q),
+        Model.ARIK_COON: lambda: (
+            float(n) if q == 1.0
+            else math.expm1(n * math.log1p(q - 1.0)) / (q - 1.0)
+            if n >= 1 and n * abs(math.log(q)) <= 1.0
+            else (1.0 - q**n) / (1.0 - q)
+        ),
     }
     try:
         value = formulas[model]()
