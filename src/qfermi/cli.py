@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -351,6 +352,9 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.add_argument("--config", help="key=value file; flags take precedence")
 
 
+# parse_args leaves the parser as it was, and help and usage errors read
+# sys.stdout, sys.stderr and the terminal width when they print: one per process
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfermi",

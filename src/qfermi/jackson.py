@@ -10,7 +10,9 @@ derivative acts termwise as x**n -> [n] x**(n-1) with [n] the model's basic
 number, which removes the singularity analytically; `jd_polynomial` uses
 that coefficient mapping.  Neither derivative reduces to d/dx at q = 1.
 
-Polynomials are plain coefficient sequences, coeffs[k] <-> x**k.
+Polynomials are plain coefficient sequences, coeffs[k] <-> x**k.  Stacks
+of them run along the last axis: row i of a (k, n) array is one polynomial,
+coeffs[i, j] <-> x**j, and `jd_polynomial` maps the whole stack in one call.
 """
 
 from __future__ import annotations
@@ -46,22 +48,14 @@ def vpjc_jd_value(f, x: float, q: float) -> float:
 
 
 def jd_polynomial(model: Model, coeffs, q: float) -> np.ndarray:
-    """Termwise derivative sum a_n x**n -> sum a_n [n] x**(n-1)."""
+    """Termwise derivative sum a_n x**n -> sum a_n [n] x**(n-1), along the last axis."""
     if model not in (Model.PVC, Model.VPJC):
         raise ValueError("polynomial Jackson derivative applies to PVC and VPJC")
     require_positive_q(q)
     a = np.asarray(coeffs, dtype=float)
-    return _termwise(a, spectrum(model, q, max(a.size - 1, 0)).values)
-
-
-def _termwise(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """a_n x**n -> a_n g_n x**(n-1), reading levels 1..a.size - 1 of g."""
-    return a[1:] * g[1 : a.size] if a.size > 1 else np.zeros(1)
-
-
-def _padded(arrays):
-    width = max(a.size for a in arrays)
-    return [np.pad(a, (0, width - a.size)) for a in arrays]
+    if a.ndim == 0 or a.shape[-1] < 2:  # a constant maps to the zero constant
+        return np.zeros((*a.shape[:-1], 1))
+    return a[..., 1:] * spectrum(model, q, a.shape[-1] - 1).values[1:]
 
 
 def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
@@ -70,7 +64,8 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     VPJC: D(x p) + q x D(p) - p must vanish identically (the basic numbers
     satisfy [n+1] + q [n] = 1).  PVC: the same left side equals p with each
     monomial x**n weighted by q**(-n), the direct polynomial transcription
-    of its defining relation c c* + q c*c = q**(-N).
+    of its defining relation c c* + q c*c = q**(-N).  A polynomial whose
+    residual is nan is passed over.
     """
     if model not in (Model.PVC, Model.VPJC):
         raise ValueError("identity check applies to PVC and VPJC")
@@ -78,18 +73,17 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     polys = [np.asarray(p, dtype=float) for p in polynomials]
     if not polys:
         raise ValueError("need at least one test polynomial")
-    g = spectrum(model, q, max(p.size for p in polys)).values
-    worst = 0.0
-    for p in polys:
-        d_xp = _termwise(np.concatenate(([0.0], p)), g)
-        x_dp = np.concatenate(([0.0], _termwise(p, g)))
-        if model is Model.VPJC:
-            rhs = p
-        else:
-            rhs = p * q ** -np.arange(p.size, dtype=float)
-        lhs, x_dp, rhs = _padded([d_xp, x_dp, rhs])
-        worst = max(worst, float(np.max(np.abs(lhs + q * x_dp - rhs))))
-    return worst
+    n = max(p.size for p in polys)
+    g = spectrum(model, q, n).values
+    # one zero-padded row per polynomial; coefficient j of D(x p) is p_j [j+1],
+    # of x D(p) it is p_j [j], and [0] = 0 is the zero constant term of x D(p)
+    stack = np.zeros((len(polys), n))
+    for row, p in zip(stack, polys):
+        row[: p.size] = p
+    # the weights are finite: `spectrum` raises where (1/q)**n, above q**-(n-1), overflows
+    rhs = stack if model is Model.VPJC else stack * q ** -np.arange(n, dtype=float)
+    residual = np.abs(stack * g[1:] + q * (stack * g[:-1]) - rhs)
+    return max([0.0, *residual.max(axis=1, initial=0.0).tolist()])
 
 
 def reflection_residual(coeffs, q: float, points) -> float:

@@ -21,7 +21,7 @@ import math
 
 from qfermi import Model, exact_trace_occupation
 from qfermi.cli import main
-from qfermi.verify import run_checks
+from qfermi.verify import nearest_limit, run_checks
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -63,9 +63,9 @@ def _criterion(number: int, name: str, group: str, prefixes: tuple, count: int) 
               for row in rows if not row.value <= row.limit]
     if len(rows) != count:
         failed.insert(0, f"{len(rows)} rows, expected {count}")
-    worst = max(rows, key=lambda row: row.value, default=None)
+    worst = nearest_limit(rows)
     detail = "; ".join(failed) or f"{count}/{count} rows pass" + (
-        f", worst {worst.name}={worst.value:.1e}" if worst.value > 0.0 else "")
+        f", worst {worst.name}={worst.value:.1e}/{worst.limit:.1e}" if worst else "")
     assert _report(number, name, not failed, detail), failed
 
 

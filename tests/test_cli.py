@@ -395,6 +395,40 @@ class TestUsage:
         assert edge == format(1.0 / (math.exp(-1.0) + 1.0), ".12g")
 
 
+class TestCachedParser:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_calls_print_and_write_the_same(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        calls = [
+            ["dist", "--model", "pvc", "--q", "0.5,0.25", "--grid", "-2:2:41", "--out", str(out)],
+            ["dist", "--bogus", "1"],
+            ["--help"],
+            ["eos", "--help"],
+            ["check", "--group", "jackson", "--seed", "3"],
+            ["spectrum", "--nmax", "0", "--out", str(out)],
+        ]
+
+        def run(argv):
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+        first = [run(argv) for argv in calls]
+        assert [code for code, *_ in first] == [0, 2, 0, 0, 0, 2]
+        assert first[0][3] and "usage: qfermi" in first[1][2]
+        assert "usage: qfermi eos" in first[3][1]
+        assert [run(argv) for argv in calls] == first
+        # each call again right after a usage error and after a help text
+        for argv, expected in zip(calls, first):
+            assert run(["dist", "--bogus", "1"]) == first[1]
+            assert run(argv) == expected
+            assert run(["--help"]) == first[2]
+            assert run(argv) == expected
+
+
 def fail_second_block(monkeypatch):
     """Make the CSV writer's third write, its second block of rows, raise
     after the header and the first block have gone to the temp file."""

@@ -1,10 +1,11 @@
 """Jackson derivatives: pointwise forms, polynomial action, ladder identity."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfermi import (
@@ -18,6 +19,7 @@ from qfermi import (
     vpjc_jd_value,
 )
 from qfermi.jackson import polyval, reflection_residual
+from qfermi.spectra import spectrum
 
 
 def _monomial(n):
@@ -162,3 +164,104 @@ def test_reflection_property_on_polynomials():
 def test_overflowing_coefficient_is_a_typed_error():
     with pytest.raises(ValueError, match="pvc spectrum at q = 0.3: level 590 overflows"):
         jd_polynomial(Model.PVC, _monomial(2000), 0.3)
+
+
+def _raises_alike(call, *args):
+    """The value of call(*args), or the ValueError text it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_Q = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+_COEFF = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    model=st.sampled_from([Model.PVC, Model.VPJC]),
+    q=_Q,
+    stack=st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.lists(_COEFF, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+)
+@example(model=Model.PVC, q=0.5, stack=[[1.5], [-2.0], [0.0]])
+@example(model=Model.VPJC, q=3.0, stack=[[0.25]])
+def test_stack_is_its_rows_bit_for_bit(model, q, stack):
+    rows = [_raises_alike(jd_polynomial, model, row, q) for row in stack]
+    out = _raises_alike(jd_polynomial, model, np.array(stack), q)
+    if isinstance(rows[0], str):
+        assert out == rows[0]
+        return
+    assert out.shape == (len(stack), max(len(stack[0]) - 1, 1))
+    assert out.tobytes() == np.array(rows).tobytes()
+
+
+def _identity_per_polynomial(model, q, polynomials):
+    """The identity residual as one padded evaluation per polynomial, each of
+    D(x p), x D(p) and the right side padded to the longest of the three."""
+    polys = [np.asarray(p, dtype=float) for p in polynomials]
+    g = spectrum(model, q, max(p.size for p in polys)).values
+
+    def termwise(a):
+        return a[1:] * g[1 : a.size] if a.size > 1 else np.zeros(1)
+
+    worst = 0.0
+    for p in polys:
+        d_xp = termwise(np.concatenate(([0.0], p)))
+        x_dp = np.concatenate(([0.0], termwise(p)))
+        rhs = p if model is Model.VPJC else p * q ** -np.arange(p.size, dtype=float)
+        width = max(d_xp.size, x_dp.size, rhs.size)
+        lhs, x_dp, rhs = (np.pad(a, (0, width - a.size)) for a in (d_xp, x_dp, rhs))
+        worst = max(worst, float(np.max(np.abs(lhs + q * x_dp - rhs))))
+    return worst
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    model=st.sampled_from([Model.PVC, Model.VPJC]),
+    q=_Q,
+    constant=_COEFF,
+    polys=st.lists(st.lists(_COEFF, min_size=1, max_size=9), max_size=5),
+)
+@example(model=Model.PVC, q=0.3, constant=1.0, polys=[[0.5, -1.0, 2.0, 0.0, 0.0, 0.0, 0.25]])
+@example(model=Model.VPJC, q=1.0, constant=-2.0, polys=[])
+def test_identity_residual_is_the_per_polynomial_loop(model, q, constant, polys):
+    # a size-1 constant, whose x D(p) has two coefficients, among other sizes
+    test_set = [[constant], *polys]
+    expected = _raises_alike(_identity_per_polynomial, model, q, test_set)
+    got = _raises_alike(jd_operator_identity_residual, model, q, test_set)
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+def test_identity_at_the_last_finite_pvc_level():
+    # at q = 0.3, [589] is the last PVC level below overflow: the widest row
+    # carries the weight q**-588 = 2.8e307 and the shorter rows sit on zero
+    # padding out to that width, which must give the per-polynomial value
+    q = 0.3
+    widest = np.zeros(589)
+    widest[[0, 588]] = (0.5, 1.0)
+    test_set = [widest, [1.0], [0.0, 2.0, -1.0]]
+    expected = _identity_per_polynomial(Model.PVC, q, test_set)
+    assert np.isfinite(expected)
+    assert jd_operator_identity_residual(Model.PVC, q, test_set) == expected
+    # one level wider, both raise on the spectrum before any weight is taken
+    message = "pvc spectrum at q = 0.3: level 590 overflows a double"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _identity_per_polynomial(Model.PVC, q, [np.ones(590), [1.0]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        jd_operator_identity_residual(Model.PVC, q, [np.ones(590), [1.0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.floats(min_value=1e-3, max_value=0.99))
+def test_pvc_weights_are_finite_wherever_the_spectrum_is(q):
+    # so a zero padding cell is never multiplied by an infinite weight; q <= 0.99
+    # keeps the top level below 71,000
+    top = int(709.8 / -np.log(q)) + 2
+    while isinstance(_raises_alike(spectrum, Model.PVC, q, top), str):
+        top -= 1
+    weights = q ** -np.arange(top, dtype=float)
+    assert np.isfinite(weights).all()
