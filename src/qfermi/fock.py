@@ -23,14 +23,19 @@ state, so it is kept as two index-aligned arrays, the target basis index
 of each state and the amplitude (0 where the state is annihilated).  For
 FN the targets are bit flips of the state index; a single-mode ladder has
 the one target map n -> n - 1.  Products of such operators stay in this
-form, so no check builds a dense matrix.  The FN relations and their
-covariance read one table of the monomials c_i c_j*, q c_j* c_i and c_i c_j
-as (d, d, 2**d) arrays: O(d**2 2**d) work for all (i, j) at once.  Mixing
-it takes O(d**3 2**d) for the diagonal terms and O(d**5) for the mode pairs,
-which depend on a column only through its class (N, occ_k, occ_l), so one
-column per class suffices; a single-mode ladder takes O(dim).  The dense
-`annihilators` and `number_op` are scattered from the arrays only when
-read, once per set; `creators` are transposed views of `annihilators`.
+form, so no check builds a dense matrix.  Every FN set of d modes shares
+one read-only layout of its basis (`_fn_layout`: occupations, signs, bit
+flips).  An FN entry of the monomials c_i c_j*, q c_j* c_i and c_i c_j
+depends on its column only through the column's class (N, occ_i, occ_j),
+up to a sign, and on (i, j) only through whether i < j, i > j or i = j
+(see `check_algebra`).  So the FN relations read those monomials on one
+column per class for three mode pairs, after an O(d 2**d) audit that the
+set has the layout: O(d 2**d) work in all.  The covariance reads one table
+of the monomials as (d, d, 2**d) arrays and mixes it in O(d**3 2**d) for
+the diagonal terms and O(d**5) for the mode pairs, on one column per class;
+a single-mode ladder takes O(dim).  The dense `annihilators` and
+`number_op` are scattered from the arrays only when read, once per set;
+`creators` are transposed views of `annihilators`.
 
 Truncation policy: on a truncated single-mode ladder the relation involving
 c c* cannot hold on the top state, so that relation is evaluated only on
@@ -54,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -64,7 +69,8 @@ from .spectra import spectrum
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
 # 2**12 basis states: the checks read (d, 2**d) index and amplitude arrays and
-# the one (d, d, 2**d) monomial table; only the on-demand dense views grow as d 4**d
+# the covariance the (d, d, 2**d) monomial table; only the on-demand dense
+# views grow as d 4**d
 MAX_FN_MODES = 12
 
 
@@ -173,6 +179,74 @@ def _fn_amplitudes(q: float, d: int) -> np.ndarray:
     return np.array(amplitudes)
 
 
+@dataclass(frozen=True)
+class _FnLayout:
+    """The 2**d occupation basis shared by every FN set of d modes (read-only).
+
+    `occupied[i, s]` is n_i of state s, `total[s]` its N (`number` as floats),
+    `sign[i, s]` the Jordan-Wigner sign (-1)**(occupied modes before i) and
+    `flips[i, s]` = s ^ e_i.  `reads[N]` is a state of occupation N with mode
+    0 occupied (sign +1), the empty state for N = 0.  The relations are read
+    at the mode pairs (`row`, `col`), the diagonal last, on `columns`: one
+    state of each class (N, occ_0, occ_1).  `labels` are the bit tuples of
+    the states.
+    """
+
+    labels: tuple
+    occupied: np.ndarray
+    total: np.ndarray
+    number: np.ndarray
+    sign: np.ndarray
+    flips: np.ndarray
+    reads: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    columns: np.ndarray
+
+
+@lru_cache(maxsize=MAX_FN_MODES)
+def _fn_layout(d: int) -> _FnLayout:
+    states = np.arange(2**d)
+    bits = np.arange(d - 1, -1, -1)[:, None]
+    occupied = (states >> bits) & 1
+    total = occupied.sum(axis=0)
+    pairs = np.array([(0, 1), (1, 0), (0, 0)] if d > 1 else [(0, 0)])
+    # the class (N, occ_0, occ_1) of each state; (N, occ_0) when d = 1
+    key = (total * 2 + occupied[0]) * 2 + occupied[min(1, d - 1)]
+    layout = dict(
+        occupied=occupied,
+        total=total,
+        number=total.astype(float),
+        sign=1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1),
+        flips=states ^ (1 << bits),
+        reads=np.array([0] + [2 ** (d - 1) + 2 ** (n - 1) - 1 for n in range(1, d + 1)]),
+        row=pairs[:, :1],
+        col=pairs[:, 1:],
+        columns=np.unique(key, return_index=True)[1],
+    )
+    labels = tuple(itertools.product((0, 1), repeat=d))
+    return _FnLayout(labels, **{name: _freeze(a) for name, a in layout.items()})
+
+
+def _fn_amplitude_table(layout: _FnLayout, amplitude_of: np.ndarray) -> np.ndarray:
+    """(d, 2**d) amplitudes of the annihilators: sign * amplitude_of[N] on the
+    states where the mode is occupied, 0 elsewhere."""
+    return np.where(layout.occupied, layout.sign * amplitude_of[layout.total], 0.0)
+
+
+def _require_layout(what: str, got: np.ndarray, want: np.ndarray) -> None:
+    """ValueError naming the first (mode, state) where an FN set departs from
+    its layout (of the same shape)."""
+    departs = got != want  # a NaN departs
+    if departs.any():
+        at = tuple(np.argwhere(departs)[0].tolist())
+        where = ", ".join(f"{axis} {k}" for axis, k in zip(("mode", "state")[-len(at):], at))
+        raise ValueError(
+            f"FN {what} at {where} is {got[at].item()!r}, "
+            f"not {want[at].item()!r} as the FN layout requires"
+        )
+
+
 def build_single_mode(model: Model, q: float, dim: int) -> OperatorSet:
     """Truncated ladder representation for the VPJC, PVC or CKN family."""
     if model not in _SINGLE_MODE:
@@ -211,20 +285,15 @@ def build_fn_multimode(d: int, q: float) -> OperatorSet:
     if d != int(d) or not 1 <= d <= MAX_FN_MODES:
         raise ValueError(f"mode count must lie in 1..{MAX_FN_MODES}, got {d!r}")
     d = int(d)
-    amplitude_of = _fn_amplitudes(q, d)
-    states = np.arange(2**d)
-    bits = np.arange(d - 1, -1, -1)[:, None]
-    occupied = (states >> bits) & 1
-    total = occupied.sum(axis=0)
-    sign = 1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1)
+    layout = _fn_layout(d)
     return OperatorSet(
         model=Model.FN,
         q=float(q),
         dim=2**d,
-        targets=_freeze(states ^ (1 << bits)),
-        amplitudes=_freeze(np.where(occupied == 1, sign * amplitude_of[total], 0.0)),
-        occupation=_freeze(total.astype(float)),
-        basis_labels=tuple(itertools.product((0, 1), repeat=d)),
+        targets=layout.flips,
+        amplitudes=_freeze(_fn_amplitude_table(layout, _fn_amplitudes(q, d))),
+        occupation=layout.number,
+        basis_labels=layout.labels,
         norm_violations=(),
     )
 
@@ -268,28 +337,81 @@ def _fn_monomials(ops: OperatorSet) -> tuple:
     return flipped * up, upper, flipped * amps
 
 
+def _audited_fn_layout(ops: OperatorSet) -> _FnLayout:
+    """The layout of an FN set's mode count, once the set is checked to have
+    it: its targets are the bit flips, its occupation the totals N and its
+    amplitudes sign * A[N] on occupied modes and 0 elsewhere, with A[N] read
+    from mode 0.  ValueError naming the first departure otherwise."""
+    d = ops.n_modes
+    if not 1 <= d <= MAX_FN_MODES:
+        raise ValueError(f"FN mode count must lie in 1..{MAX_FN_MODES}, got {d}")
+    shapes = (ops.dim, ops.targets.shape, ops.amplitudes.shape, ops.occupation.shape)
+    if shapes != (2**d, (d, 2**d), (d, 2**d), (2**d,)):
+        raise ValueError(
+            f"an FN set of {d} modes has dim, targets, amplitudes and occupation "
+            f"of {(2**d, (d, 2**d), (d, 2**d), (2**d,))}, got {shapes}"
+        )
+    layout = _fn_layout(d)
+    _require_layout("targets", ops.targets, layout.flips)
+    _require_layout("occupation", ops.occupation, layout.number)
+    amplitude_of = ops.amplitudes[0, layout.reads]
+    _require_layout("amplitudes", ops.amplitudes, _fn_amplitude_table(layout, amplitude_of))
+    return layout
+
+
 @np.errstate(all="ignore")  # an overflowed term reads as inf
 def check_algebra(ops: OperatorSet) -> AlgebraReport:
     """Evaluate every defining relation of the model as a max-norm residual.
 
-    Residuals are scale-normalized via `_scaled`; the FN relations take all
-    (i, j) at once from the monomial table.  Single-mode relations involving
-    c c* are evaluated only on input states below the truncation boundary
-    (except CKN, whose two states close exactly); the commutation relations
-    with the number operator hold on the full space.
+    Residuals are scale-normalized via `_scaled`.  Single-mode relations
+    involving c c* are evaluated only on input states below the truncation
+    boundary (except CKN, whose two states close exactly); the commutation
+    relations with the number operator hold on the full space.
+
+    FN: the set is first audited against its layout (`_audited_fn_layout`,
+    O(d 2**d)); then c_i on s has the amplitude sigma_i(s) A[N] where
+    n_i(s) = 1, sigma_i(s) = (-1)**(occupied modes before i).  For i != j
+    the entries [i, j, s] of `_fn_monomials` are
+
+        c_i c_j*    where n_i = 1, n_j = 0:  sigma_i(s ^ e_j) sigma_j(s) A[N+1] A[N+1]
+        q c_j* c_i  where n_i = 1, n_j = 0:  sigma_j(s ^ e_i) sigma_i(s) q (A[N] A[N])
+        c_i c_j     where n_i = n_j = 1:     sigma_i(s ^ e_j) sigma_j(s) A[N-1] A[N]
+
+    and 0 elsewhere.  Flipping mode j negates sigma_i exactly when j < i, and
+    flipping i negates sigma_j exactly when i < j, so each entry, and each
+    entry [j, i, s], is sigma_i(s) sigma_j(s) times a float fixed by N, by
+    n_i and n_j, and by whether i < j.  The one sign is shared by lower,
+    upper and pair, and negating both terms of a sum negates its float
+    exactly, so every |entry| of the cross and pair residuals and of their
+    terms depends on s only through its class (N, occ_i, occ_j) and on
+    (i, j) only through i < j.  The classes present, a + b <= N <= d - 2 +
+    a + b for (occ_i, occ_j) = (a, b), are the same for every pair, so the
+    peaks over all s and all i < j (i > j) are the peaks of the pair (0, 1)
+    ((1, 0)) over one column per class (N, occ_0, occ_1).  On the diagonal,
+    c_i c_i* gives A[N+1] A[N+1] where n_i = 0, q c_i* c_i gives q (A[N] A[N])
+    where n_i = 1 and q**N depends on N, so each entry depends only on
+    (N, occ_i) and the pair (0, 0) on the same columns stands for every i;
+    c_i c_i vanishes.  The entries are computed as `_fn_monomials` computes
+    them, so the residuals equal the full table's bit for bit, in O(d)
+    beyond the audit.  `number_shift` reads all d 2**d amplitudes.
     """
     if ops.model is Model.FN:
-        lower, upper, pair = _fn_monomials(ops)
-        amps, number = ops.amplitudes, ops.occupation
+        layout = _audited_fn_layout(ops)
+        amps, number, flips = ops.amplitudes, ops.occupation, layout.flips
         q_pow = ops.q**number
-        modes = np.arange(ops.n_modes)
+        i, j, s = layout.row, layout.col, layout.columns
+        flipped = amps[i, flips[j, s]]  # amplitude of c_i on s ^ e_j
+        lower = flipped * amps[j, flips[j, s]]
+        upper = ops.q * (amps[j, flips[j, flips[i, s]]] * amps[i, s])
+        pair = flipped * amps[j, s]
+        swapped = amps[j, flips[i, s]] * amps[i, s]  # entry [j, i, s] of c_i c_j
         cross = lower + upper
-        cross[modes, modes] -= q_pow
+        cross[-1] -= q_pow[s]  # the diagonal pair
         right = amps * number  # c_j N, against (N + 1) c_j on the same entries
-        shift = right - (number[ops.targets] + 1.0) * amps
+        shift = right - (number[flips] + 1.0) * amps
         residuals = {
             "deformed_anticommutation": _scaled(cross, lower, upper, q_pow),
-            "double_annihilation": _scaled(pair + pair.transpose(1, 0, 2), pair),
+            "double_annihilation": _scaled(pair + swapped, pair),
             "number_shift": _scaled(shift, right, amps),
         }
         return AlgebraReport(residuals, ops.norm_violations, ops.dim - 1)
@@ -333,11 +455,10 @@ def _class_columns(ops: OperatorSet, k: np.ndarray, l: np.ndarray) -> np.ndarray
     |.| over all columns.  On occ_k = occ_l = 0 every entry is 0, and the
     remaining 3 (d - 1) classes are the same for every pair.
     """
-    d, states = ops.n_modes, np.arange(ops.dim)
-    occupied = (states >> np.arange(d - 1, -1, -1)[:, None]) & 1
-    key = (ops.occupation.astype(int) * 2 + occupied[k]) * 2 + occupied[l]
+    d, layout = ops.n_modes, _fn_layout(ops.n_modes)
+    key = (layout.total * 2 + layout.occupied[k]) * 2 + layout.occupied[l]
     first = np.full((len(k), 4 * (d + 1)), -1)
-    first[np.arange(len(k))[:, None], key] = states  # any member represents its class
+    first[np.arange(len(k))[:, None], key] = np.arange(ops.dim)  # any member represents its class
     present = (first >= 0).all(axis=0) & (np.arange(4 * (d + 1)) % 4 > 0)
     return first[:, present]
 

@@ -17,6 +17,8 @@ coeffs[i, j] <-> x**j, and `jd_polynomial` maps the whole stack in one call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .models import Model, SingularPointError, require_positive_q
@@ -64,8 +66,9 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     VPJC: D(x p) + q x D(p) - p must vanish identically (the basic numbers
     satisfy [n+1] + q [n] = 1).  PVC: the same left side equals p with each
     monomial x**n weighted by q**(-n), the direct polynomial transcription
-    of its defining relation c c* + q c*c = q**(-N).  A polynomial whose
-    residual is nan is passed over.
+    of its defining relation c c* + q c*c = q**(-N).  A coefficient that is
+    not finite raises ValueError naming its polynomial; terms that overflow
+    to inf - inf give an infinite residual, never a pass.
     """
     if model not in (Model.PVC, Model.VPJC):
         raise ValueError("identity check applies to PVC and VPJC")
@@ -80,10 +83,14 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     stack = np.zeros((len(polys), n))
     for row, p in zip(stack, polys):
         row[: p.size] = p
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    if bad.size:
+        raise ValueError(f"test polynomial {bad[0]} has a coefficient that is not finite")
     # the weights are finite: `spectrum` raises where (1/q)**n, above q**-(n-1), overflows
     rhs = stack if model is Model.VPJC else stack * q ** -np.arange(n, dtype=float)
     residual = np.abs(stack * g[1:] + q * (stack * g[:-1]) - rhs)
-    return max([0.0, *residual.max(axis=1, initial=0.0).tolist()])
+    worst = float(residual.max(initial=0.0))
+    return math.inf if math.isnan(worst) else worst
 
 
 def reflection_residual(coeffs, q: float, points) -> float:

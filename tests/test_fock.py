@@ -1,5 +1,6 @@
 """Matrix representations: construction, relation residuals, audits."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfermi import (
@@ -612,7 +613,7 @@ class TestFnPermutationArrays:
     from them must equal the dense evaluation bit for bit."""
 
     @pytest.mark.parametrize("q", FN_EXACT_QS)
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_residuals_equal_dense_evaluation(self, d, q):
         ops = build_fn_multimode(d, q)
         dense = _fn_relation_residuals(
@@ -620,11 +621,17 @@ class TestFnPermutationArrays:
         )
         assert check_algebra(ops).relation_residuals == dense
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(1, 6), log_q=st.floats(math.log(0.2), math.log(8.0)))
+    @given(d=st.integers(1, 8), log_q=st.floats(-350.0, 350.0))
+    @example(d=5, log_q=math.log(1e100))  # infinite residuals
     def test_residuals_equal_dense_evaluation_at_any_q(self, d, log_q):
         q = math.exp(log_q)
-        ops = build_fn_multimode(d, q)
+        try:
+            ops = build_fn_multimode(d, q)
+        except ValueError:  # an amplitude overflows or underflows
+            assume(False)
         dense = _fn_relation_residuals(
             ops.annihilators, ops.creators, q, np.diag(ops.number_op)
         )
@@ -643,6 +650,8 @@ class TestFnPermutationArrays:
         assert np.array_equal(ops.number_op, number_op)
         assert not ops.number_op.flags.writeable
         assert ops.annihilators is ops.annihilators  # built once per set
+        assert ops.targets is build_fn_multimode(d, 0.5).targets  # one flip table per d
+        assert not ops.targets.flags.writeable
 
     @pytest.mark.parametrize("q", FN_EXACT_QS)
     @pytest.mark.parametrize("d", range(1, 8))
@@ -658,6 +667,31 @@ class TestFnPermutationArrays:
         ops = build_single_mode(model, q, dim)
         dense = np.diag(ops.creator @ ops.annihilator)
         assert np.array_equal(spectrum_of_number_operator(ops), dense)
+
+    def test_twelve_mode_check_stays_small(self):
+        # the full (12, 12, 4096) monomial table traced 27.8 MB
+        ops = build_fn_multimode(12, 0.83)
+        tracemalloc.start()
+        try:
+            report = check_algebra(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_residual <= 1e-12, report.relation_residuals
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "flip,named", [((2, 7), "mode 2, state 7"), ((0, 4), "mode 1, state 2")]
+    )
+    def test_a_flipped_amplitude_sign_is_rejected(self, flip, named):
+        # the class argument holds only on the FN layout.  A[N] is read from
+        # mode 0, so flipping its entry on |100> (N = 1) moves the first
+        # departure to the N = 1 state of mode 1, |010>
+        ops = build_fn_multimode(3, 0.83)
+        flipped = ops.amplitudes.copy()
+        flipped[flip] *= -1.0
+        with pytest.raises(ValueError, match=f"FN amplitudes at {named} is -?[0-9.]+, not "):
+            check_algebra(dataclasses.replace(ops, amplitudes=flipped))
 
     @pytest.mark.parametrize("q", [0.5, 1.4])
     def test_twelve_modes_without_dense_matrices(self, q):

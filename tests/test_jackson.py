@@ -131,6 +131,22 @@ class TestOperatorIdentity:
         with pytest.raises(ValueError):
             jd_operator_identity_residual(Model.VPJC, 0.5, [])
 
+    @pytest.mark.parametrize("model", [Model.PVC, Model.VPJC])
+    @pytest.mark.parametrize(
+        "polys,row",
+        [([[np.nan]], 0), ([[1.0, np.nan], [0.0, 0.0, 5.0]], 0), ([[1.0], [0.0, np.inf]], 1)],
+    )
+    def test_rejects_coefficients_that_are_not_finite(self, model, polys, row):
+        # a nan residual once read as a pass: max(0.0, nan) is 0.0
+        with pytest.raises(ValueError, match=f"test polynomial {row} has a coefficient"):
+            jd_operator_identity_residual(model, 0.5, polys)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflow_to_nan_reads_as_infinite(self):
+        # VPJC q = 3: [4] = -20 and [3] = 7, so p_3 [4] + q p_3 [3] is -inf + inf
+        assert jd_operator_identity_residual(Model.VPJC, 3.0, [[0.0, 0.0, 0.0, 1e308]]) == np.inf
+
 
 @settings(max_examples=60, deadline=None)
 @given(
