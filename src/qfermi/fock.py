@@ -29,13 +29,12 @@ flips).  An FN entry of the monomials c_i c_j*, q c_j* c_i and c_i c_j
 depends on its column only through the column's class (N, occ_i, occ_j),
 up to a sign, and on (i, j) only through whether i < j, i > j or i = j
 (see `check_algebra`).  So the FN relations read those monomials on one
-column per class for three mode pairs, after an O(d 2**d) audit that the
-set has the layout: O(d 2**d) work in all.  The covariance reads one table
-of the monomials as (d, d, 2**d) arrays and mixes it in O(d**3 2**d) for
-the diagonal terms and O(d**5) for the mode pairs, on one column per class;
-a single-mode ladder takes O(dim).  The dense `annihilators` and
-`number_op` are scattered from the arrays only when read, once per set;
-`creators` are transposed views of `annihilators`.
+column per class for three mode pairs, after an O(d 2**d) audit of the
+layout (about 0.2 ms at d = 12); the covariance mixes the diagonal ones in
+O(d**3 2**d) and the mode pairs in O(d**5), on one column per class (about
+20 ms and a 26 MB traced peak at d = 12); a single-mode ladder takes O(dim).
+The dense `annihilators` and `number_op` are scattered from the arrays only
+when read, once per set; `creators` are transposed views of `annihilators`.
 
 Truncation policy: on a truncated single-mode ladder the relation involving
 c c* cannot hold on the top state, so that relation is evaluated only on
@@ -59,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,7 +68,7 @@ from .spectra import spectrum
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
 
 # 2**12 basis states: the checks read (d, 2**d) index and amplitude arrays and
-# the covariance the (d, d, 2**d) monomial table; only the on-demand dense
+# the covariance its (d, d, 2**d) mixed diagonal; only the on-demand dense
 # views grow as d 4**d
 MAX_FN_MODES = 12
 
@@ -155,11 +154,6 @@ def _maxabs(m: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
-def _peak(m: np.ndarray) -> np.ndarray:
-    """Largest |entry| over the last axis, kept as a length-1 axis (NaN propagates)."""
-    return np.abs(m).max(axis=-1, keepdims=True)
-
-
 def _fn_amplitudes(q: float, d: int) -> np.ndarray:
     """q**((N-1)/2) for N = 0..d with Python's pow, not numpy's (the two
     differ in the last bit for some q); ValueError naming the first N whose
@@ -187,9 +181,10 @@ class _FnLayout:
     `sign[i, s]` the Jordan-Wigner sign (-1)**(occupied modes before i) and
     `flips[i, s]` = s ^ e_i.  `reads[N]` is a state of occupation N with mode
     0 occupied (sign +1), the empty state for N = 0.  The relations are read
-    at the mode pairs (`row`, `col`), the diagonal last, on `columns`: one
-    state of each class (N, occ_0, occ_1).  `labels` are the bit tuples of
-    the states.
+    on `columns`, one state of each class (N, occ_0, occ_1), at the mode pairs
+    (0, 1), (0, 0), (1, 0), so that reversing them swaps the two modes:
+    `entry_reads` are the amplitudes those entries multiply (`_entry_reads`).
+    `labels` are the bit tuples of the states.
     """
 
     labels: tuple
@@ -199,9 +194,8 @@ class _FnLayout:
     sign: np.ndarray
     flips: np.ndarray
     reads: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
     columns: np.ndarray
+    entry_reads: np.ndarray
 
 
 @lru_cache(maxsize=MAX_FN_MODES)
@@ -210,7 +204,7 @@ def _fn_layout(d: int) -> _FnLayout:
     bits = np.arange(d - 1, -1, -1)[:, None]
     occupied = (states >> bits) & 1
     total = occupied.sum(axis=0)
-    pairs = np.array([(0, 1), (1, 0), (0, 0)] if d > 1 else [(0, 0)])
+    pairs = np.array([(0, 1), (0, 0), (1, 0)] if d > 1 else [(0, 0)])
     # the class (N, occ_0, occ_1) of each state; (N, occ_0) when d = 1
     key = (total * 2 + occupied[0]) * 2 + occupied[min(1, d - 1)]
     layout = dict(
@@ -220,10 +214,9 @@ def _fn_layout(d: int) -> _FnLayout:
         sign=1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1),
         flips=states ^ (1 << bits),
         reads=np.array([0] + [2 ** (d - 1) + 2 ** (n - 1) - 1 for n in range(1, d + 1)]),
-        row=pairs[:, :1],
-        col=pairs[:, 1:],
         columns=np.unique(key, return_index=True)[1],
     )
+    layout["entry_reads"] = _entry_reads(layout["flips"], *pairs.T[..., None], layout["columns"])
     labels = tuple(itertools.product((0, 1), repeat=d))
     return _FnLayout(labels, **{name: _freeze(a) for name, a in layout.items()})
 
@@ -310,31 +303,35 @@ def spectrum_of_number_operator(ops: OperatorSet) -> np.ndarray:
     return total
 
 
-def _scaled(residual: np.ndarray, *terms) -> float:
-    """Worst residual of a relation divided by the largest term magnitude
-    entering it, floored at 1.  Each array holds the entries of one operator
-    along its last axis and one operator per leading index (mode or mode
-    pair), so every index is scaled by its own terms.  Order-unity spectra
-    keep absolute semantics; the growing PVC/CKN spectra (entries up to
-    q**-(dim-1)) are judged at their own scale.  An overflowed term makes
-    the residual infinite, never 0."""
-    scale = reduce(np.maximum, map(_peak, terms), 1.0)
-    return _maxabs(np.where(np.isfinite(scale), _peak(residual) / scale, math.inf))
+def _ratio(residual: float, *terms: float) -> float:
+    """Peak residual of one operator over the largest peak of its terms, floored
+    at 1, so the growing PVC/CKN spectra are judged at their own scale.  A term
+    that overflowed, or any NaN, makes it infinite: it fails every bound."""
+    if not all(map(math.isfinite, terms)):
+        return math.inf
+    ratio = residual / max((1.0, *terms))
+    return math.inf if math.isnan(ratio) else ratio
 
 
-def _fn_monomials(ops: OperatorSet) -> tuple:
-    """c_i c_j*, q c_j* c_i and c_i c_j of an FN set as (d, d, 2**d) arrays.
+def _entry_reads(flips: np.ndarray, i, j, s) -> np.ndarray:
+    """Flat indices into a (d, 2**d) amplitude table, (2, 3, ...): [0, e] and
+    [1, e] are the factors of entry [i, j, s] of the monomial e in (c_i c_j*,
+    c_j* c_i, c_i c_j), the one amplitude it gives basis state s, on row
+    s ^ e_i ^ e_j, for index arrays i, j, s that broadcast together."""
+    at = lambda mode, state: mode * flips.shape[1] + state
+    left = at(i, flips[j, s]), at(j, flips[j, flips[i, s]]), at(i, flips[j, s])
+    right = at(j, flips[j, s]), at(i, s), at(j, s)
+    return np.array([np.broadcast_arrays(*left), np.broadcast_arrays(*right)])
 
-    Entry [i, j, s] is the one amplitude the monomial gives basis state s,
-    on row s ^ e_i ^ e_j for all three, so entries of one column add on one
-    row.  Each is the dense product's float: one product of two amplitudes,
-    then q, as `q * (c_j* @ c_i)` rounds it.
-    """
-    amps, flips = ops.amplitudes, ops.targets
-    up = np.take_along_axis(amps, flips, axis=1)  # c_j* |s> = up[j, s] |s ^ e_j>
-    flipped = amps[:, flips]  # [i, j, s]: amplitude of c_i on s ^ e_j
-    upper = ops.q * (up[:, flips].transpose(1, 0, 2) * amps[:, None, :])
-    return flipped * up, upper, flipped * amps
+
+def _fn_entries(amps: np.ndarray, reads: np.ndarray, q: float, out=None) -> np.ndarray:
+    """c_i c_j*, q c_j* c_i and c_i c_j at the `_entry_reads` `reads`, stacked
+    (into `out` if given): the dense products' floats, q applied last as in
+    `q * (c_j* @ c_i)`."""
+    factors = np.take(amps, reads)
+    entries = np.multiply(factors[0], factors[1], out=out)
+    entries[1] *= q
+    return entries
 
 
 def _audited_fn_layout(ops: OperatorSet) -> _FnLayout:
@@ -363,15 +360,16 @@ def _audited_fn_layout(ops: OperatorSet) -> _FnLayout:
 def check_algebra(ops: OperatorSet) -> AlgebraReport:
     """Evaluate every defining relation of the model as a max-norm residual.
 
-    Residuals are scale-normalized via `_scaled`.  Single-mode relations
-    involving c c* are evaluated only on input states below the truncation
-    boundary (except CKN, whose two states close exactly); the commutation
-    relations with the number operator hold on the full space.
+    Each relation's residual and terms are rows of one block, one operator
+    (mode or mode pair) per row, peaked in one reduction and scaled by
+    `_ratio`.  Single-mode relations involving c c* are evaluated only on
+    input states below the truncation boundary (except CKN, whose two states
+    close exactly); the number-operator relations hold on the full space.
 
     FN: the set is first audited against its layout (`_audited_fn_layout`,
     O(d 2**d)); then c_i on s has the amplitude sigma_i(s) A[N] where
     n_i(s) = 1, sigma_i(s) = (-1)**(occupied modes before i).  For i != j
-    the entries [i, j, s] of `_fn_monomials` are
+    the entries [i, j, s] of `_fn_entries` are
 
         c_i c_j*    where n_i = 1, n_j = 0:  sigma_i(s ^ e_j) sigma_j(s) A[N+1] A[N+1]
         q c_j* c_i  where n_i = 1, n_j = 0:  sigma_j(s ^ e_i) sigma_i(s) q (A[N] A[N])
@@ -391,94 +389,72 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
     c_i c_i* gives A[N+1] A[N+1] where n_i = 0, q c_i* c_i gives q (A[N] A[N])
     where n_i = 1 and q**N depends on N, so each entry depends only on
     (N, occ_i) and the pair (0, 0) on the same columns stands for every i;
-    c_i c_i vanishes.  The entries are computed as `_fn_monomials` computes
-    them, so the residuals equal the full table's bit for bit, in O(d)
-    beyond the audit.  `number_shift` reads all d 2**d amplitudes.
+    c_i c_i vanishes.  The number shift c_j N - (N + 1) c_j reads fl(a N) -
+    fl(N a), a = +-A[N] where n_j = 1 and 0 elsewhere, so mode 0 on the same
+    columns (every N with n_0 = 1) stands for every mode: 0, or infinite
+    where a N overflows.  So the residuals equal the full table's bit for
+    bit, in O(d) beyond the audit.
     """
     if ops.model is Model.FN:
         layout = _audited_fn_layout(ops)
-        amps, number, flips = ops.amplitudes, ops.occupation, layout.flips
-        q_pow = ops.q**number
-        i, j, s = layout.row, layout.col, layout.columns
-        flipped = amps[i, flips[j, s]]  # amplitude of c_i on s ^ e_j
-        lower = flipped * amps[j, flips[j, s]]
-        upper = ops.q * (amps[j, flips[j, flips[i, s]]] * amps[i, s])
-        pair = flipped * amps[j, s]
-        swapped = amps[j, flips[i, s]] * amps[i, s]  # entry [j, i, s] of c_i c_j
-        cross = lower + upper
-        cross[-1] -= q_pow[s]  # the diagonal pair
-        right = amps * number  # c_j N, against (N + 1) c_j on the same entries
-        shift = right - (number[flips] + 1.0) * amps
+        s = layout.columns
+        # rows: cross, lower, upper, pair, pair + swapped (n mode pairs each),
+        # then q**N, number shift, c_0 N and c_0
+        n = layout.entry_reads.shape[2]
+        block = np.empty((5 * n + 4, len(s)))
+        entries = block[n : 4 * n].reshape(3, n, -1)
+        lower, upper, pair = _fn_entries(ops.amplitudes, layout.entry_reads, ops.q, out=entries)
+        number = layout.number[s]
+        q_pow = np.power(ops.q, number, out=block[5 * n])
+        cross = np.add(lower, upper, out=block[:n])
+        cross[n // 2] -= q_pow  # the diagonal pair (0, 0)
+        np.add(pair, pair[::-1], out=block[4 * n : 5 * n])  # [j, i, s] is the reversed row
+        amp = np.take(ops.amplitudes[0], s, out=block[-1])
+        right = np.multiply(amp, number, out=block[-2])  # c_0 N, against (N + 1) c_0
+        np.subtract(right, (layout.number[layout.flips[0, s]] + 1.0) * amp, out=block[-3])
+        peaks = np.abs(block).max(axis=-1).tolist()
+        cross, lower, upper, pair, double = (peaks[r * n : r * n + n] for r in range(5))
+        q_peak = itertools.repeat(peaks[5 * n])
         residuals = {
-            "deformed_anticommutation": _scaled(cross, lower, upper, q_pow),
-            "double_annihilation": _scaled(pair + swapped, pair),
-            "number_shift": _scaled(shift, right, amps),
+            "deformed_anticommutation": max(map(_ratio, cross, lower, upper, q_peak)),
+            "double_annihilation": max(map(_ratio, double, pair)),
+            "number_shift": _ratio(*peaks[5 * n + 1 :]),
         }
         return AlgebraReport(residuals, ops.norm_violations, ops.dim - 1)
 
-    levels = ops.occupation
-    lowered = ops.targets[0]
-    down = ops.amplitudes[0]  # c |n> = down[n] |n-1>
-    up = np.append(down[1:], 0.0)  # c* |n> = up[n] |n+1>, 0 on the top state
-    # every matrix below is diagonal or one off-diagonal band, each entry a
-    # single product, so the arrays hold the dense products' exact floats
-    lower = up * up
+    levels, lowered = ops.occupation, ops.targets[0]
+    # each row is a diagonal or one off-diagonal band of a matrix, each entry a
+    # single product, so the rows hold the dense products' exact floats
+    block = np.zeros((12 if ops.model is Model.CKN else 10, ops.dim))
+    ladder = block[8:10]  # c |n> = down[n] |n-1>, c* |n> = up[n] |n+1>, 0 on top
+    down, up = ladder
+    down[:] = ops.amplitudes[0]
+    up[:-1] = down[1:]
     rhs = np.ones(ops.dim) if ops.model is Model.VPJC else ops.q**-levels
     coeff = 1.0 / ops.q if ops.model is Model.CKN else ops.q
     # CKN is exact on its two states because the level-2 value vanishes
     cols = ops.dim if ops.model is Model.CKN else ops.dim - 1
-    raise_term = coeff * (down * down)
-    defining = (lower + raise_term - rhs)[:cols]
-    n_c = levels[lowered] * down
-    n_cdag = (levels + 1.0) * up
-
-    residuals = {
-        "deformed_anticommutation": _scaled(defining, lower, raise_term, rhs),
-        "number_shift_c": _scaled(n_c - down * levels + down, n_c, down),
-        "number_shift_cdag": _scaled(n_cdag - up * levels - up, n_cdag, up),
-    }
+    lower = np.multiply(up, up, out=block[1])
+    raise_term = np.multiply(coeff, down * down, out=block[2])
+    block[3] = rhs
+    np.subtract(lower[:cols] + raise_term[:cols], rhs[:cols], out=block[0, :cols])
+    n_ladder = np.multiply(np.stack((levels[lowered], levels + 1.0)), ladder, out=block[6:8])
+    shift_c, shift_cdag = np.subtract(n_ladder, ladder * levels, out=block[4:6])
+    shift_c += down  # N c - c N + c
+    shift_cdag -= up  # N c* - c* N - c*
     if ops.model is Model.CKN:
-        residuals["c_squared"] = _maxabs(down[lowered] * down)
-        residuals["cdag_squared"] = _maxabs(up[1:] * up[:-1])
+        np.multiply(down[lowered], down, out=block[10])
+        np.multiply(up[1:], up[:-1], out=block[11, :-1])
+    peaks = np.abs(block).max(axis=-1).tolist()
+    residuals = {
+        "deformed_anticommutation": _ratio(*peaks[:4]),
+        "number_shift_c": _ratio(peaks[4], peaks[6], peaks[8]),
+        "number_shift_cdag": _ratio(peaks[5], peaks[7], peaks[9]),
+    }
+    if ops.model is Model.CKN:  # unscaled: with no terms the scale is 1
+        residuals["c_squared"] = _ratio(peaks[10])
+        residuals["cdag_squared"] = _ratio(peaks[11])
     return AlgebraReport(residuals, ops.norm_violations, cols - 1)
-
-
-def _class_columns(ops: OperatorSet, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """(pairs, m) array: for each mode pair (k, l), k < l, one basis state of
-    each class (N, occ_k, occ_l) on which some monomial of the pair is nonzero.
-
-    The six entries [k, l, s] and [l, k, s] of the monomial table depend on
-    the column s only through its class, up to the sign (-1)**(occupied modes
-    strictly between k and l), which all six share.  A mixed entry is a sum
-    of such entries times fixed T products, so negating every input negates
-    it exactly: its largest |.| over one column per class is its largest
-    |.| over all columns.  On occ_k = occ_l = 0 every entry is 0, and the
-    remaining 3 (d - 1) classes are the same for every pair.
-    """
-    d, layout = ops.n_modes, _fn_layout(ops.n_modes)
-    key = (layout.total * 2 + layout.occupied[k]) * 2 + layout.occupied[l]
-    first = np.full((len(k), 4 * (d + 1)), -1)
-    first[np.arange(len(k))[:, None], key] = np.arange(ops.dim)  # any member represents its class
-    present = (first >= 0).all(axis=0) & (np.arange(4 * (d + 1)) % 4 > 0)
-    return first[:, present]
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[p, i, j, 1] = a[i, p] * b[j, p]: one mixing weight per pair p and (i, j)."""
-    return (a.T[:, :, None] * b.T[:, None, :])[..., None]
-
-
-def _diagonal_peaks(T, lower, upper, q_pow) -> tuple:
-    """Peaks over s of the mixed cross relation's k = l terms, row s of column
-    s: sum_k T_ik conj(T_jk) m_kk(s) minus q**N on i = j, and of its terms."""
-    d = len(T)
-    modes = np.arange(d)
-    weights = (T[:, None] * T.conj()[None]).reshape(d * d, d)
-    lower_diag = (weights @ lower[modes, modes]).reshape(d, d, -1)
-    upper_diag = (weights @ upper[modes, modes]).reshape(d, d, -1)
-    diag = lower_diag + upper_diag
-    diag[modes, modes] -= q_pow
-    return _peak(diag), np.maximum(_peak(lower_diag), _peak(upper_diag))
 
 
 @np.errstate(all="ignore")  # an overflowed term reads as inf
@@ -486,15 +462,11 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     """Residual of the FN relations after the mode mixing c'_i = sum_j T_ij c_j.
 
     `transform` must be a d x d unitary matrix (complex entries allowed here
-    and only here); non-unitary input is rejected.  A mixed product is a
-    T-weighted sum of the monomials `check_algebra` reads, each one amplitude
-    per column s, with the (k, l) and (l, k) terms on row s ^ e_k ^ e_l.  The
-    diagonal terms k = l, on row s, are one matrix product over all columns.
-    A pair k < l is evaluated on one column per class of `_class_columns`,
-    for all pairs and all (i, j) at once: O(d**5) work and memory, against
-    O(d**3 2**d) for the diagonal and O(d**2 2**d) memory for the table.
-    Lower and upper terms are mixed apart and scale the residual as in
-    `check_algebra`.
+    and only here); non-unitary input is rejected.  The mixed products are
+    peaked by `_mixed_peaks`.  The mixed number shift T_jk (c_k N - (N + 1) c_k)
+    reads fl(T_jk a), a = +-A[N] where n_k = 1 and 0 elsewhere, so mode 0's
+    amplitudes on one column per class stand for every c_k.  Lower and upper
+    terms are mixed apart and scale the residual as in `check_algebra`.
     """
     T = np.asarray(transform, dtype=complex)
     if T.shape != (d, d):
@@ -502,34 +474,62 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     if _maxabs(T @ T.conj().T - np.eye(d)) > unitary_tol:
         raise ValueError("transform is not unitary within tolerance")
 
-    ops = build_fn_multimode(d, q)
-    amps, flips = ops.amplitudes, ops.targets
-    number = ops.occupation
-    q_pow = q**number
-    lower, upper, pair = _fn_monomials(ops)  # [k, l, s]
-    cross, cross_terms = _diagonal_peaks(T, lower, upper, q_pow)
-    # all pairs k < l at once: [p, i, j, c] on class column c of pair p
-    tc = T.conj()
-    k, l = np.triu_indices(d, 1)
-    cols = _class_columns(ops, k, l)
-    at = lambda m, a, b: m[a[:, None], b[:, None], cols][:, None, None, :]
-    kl, lk = _outer(T[:, k], tc[:, l]), _outer(T[:, l], tc[:, k])
-    lo = kl * at(lower, k, l) + lk * at(lower, l, k)
-    hi = kl * at(upper, k, l) + lk * at(upper, l, k)
-    kl = _outer(T[:, k], T[:, l])
-    pr = kl * at(pair, k, l) + kl.transpose(0, 2, 1, 3) * at(pair, l, k)  # c'_i c'_j
-    worst = lambda m: _peak(m).max(axis=0, initial=0.0)  # over the pairs
-    cross = np.maximum(cross, worst(lo + hi))
-    cross_terms = reduce(np.maximum, (cross_terms, worst(lo), worst(hi)))
-    pair_res = worst(pr + pr.transpose(0, 2, 1, 3))  # c_k c_k = 0: no diagonal
-    mixed = T[:, :, None] * amps  # c'_j |s> has amplitude mixed[j, k, s] on s ^ e_k
-    right = (mixed * number).reshape(d, -1)
-    shift = right - ((number[flips] + 1.0) * mixed).reshape(d, -1)
+    ops, layout = build_fn_multimode(d, q), _fn_layout(d)
+    q_pow, s, number = q**ops.occupation, layout.columns, ops.occupation
+    cross, cross_terms, pair, pair_terms = _mixed_peaks(T, ops, layout, q_pow)
+    mixed = T[:, :, None] * ops.amplitudes[0, s]  # [j, k, s]: c'_j N - (N + 1) c'_j
+    right = mixed * number[s]
+    shift = right - (number[layout.flips[0, s]] + 1.0) * mixed
+    shift_peaks = (np.abs(m).reshape(d, -1).max(axis=-1).tolist() for m in (shift, right, mixed))
     return max(
-        _scaled(cross, cross_terms, q_pow),
-        _scaled(pair_res, worst(pr)),
-        _scaled(shift, right, mixed.reshape(d, -1)),
+        *map(_ratio, cross.tolist(), cross_terms.tolist(), itertools.repeat(q_pow.max())),
+        *map(_ratio, pair.tolist(), pair_terms.tolist()),
+        *map(_ratio, *shift_peaks),
     )
+
+
+def _mixed_peaks(T, ops: OperatorSet, layout: _FnLayout, q_pow: np.ndarray) -> tuple:
+    """Peaks over the columns, each a (d * d,) array over (i, j), of the mixed
+    c'_i c'_j* + q c'_j* c'_i - [i = j] q**N, of the larger of its two terms,
+    of c'_i c'_j + c'_j c'_i and of c'_i c'_j: T-weighted sums of the
+    monomials of `_fn_entries`.  The terms k = l, on row s of column s, are
+    mixed by one matrix product over all columns, O(d**3 2**d).  The (k, l)
+    and (l, k) terms of a pair k < l are, up to one sign they share, the
+    (0, 1) and (1, 0) entries of the class of s (see `check_algebra`), and
+    negating every input of a mixed entry negates it exactly, so the pairs
+    read those entries on one column per class, all (i, j) at once, laid out
+    [i, j, (pair, class)] so that numpy's inner loops run over (pair, class):
+    O(d**5)."""
+    d, q, amps, flips, tc = len(T), ops.q, ops.amplitudes, ops.targets, T.conj()
+    peak = lambda m: np.abs(m).reshape(d * d, -1).max(axis=-1, initial=0.0)
+    # k = l, [i * d + j, s]: c_k* |s> = up[k, s] |s ^ e_k>
+    up = np.take_along_axis(amps, flips, axis=1)
+    weights = (T[:, None] * tc[None]).reshape(d * d, d)
+    lower = weights @ (up * up)
+    upper = weights @ (q * (np.take_along_axis(up, flips, axis=1) * amps))
+    cross_terms = np.maximum(peak(lower), peak(upper))
+    lower += upper
+    lower[:: d + 1] -= q_pow  # the rows i = j
+    cross = peak(lower)
+    del lower, upper  # freed before the pair buffers: 19 MB at d = 12
+    # k < l, [i, j, (p, c)]: the weight of pair p on each of its classes c
+    k, l = np.triu_indices(d, 1)
+    pairs = _fn_entries(amps, layout.entry_reads[:, :, [0, -1]], q)  # (0, 1) and (1, 0)
+    pairs = pairs[..., pairs.any(axis=(0, 1))]  # a class of zero entries adds |0| terms
+    L, U, P = np.tile(pairs, len(k))  # [(k, l) or (l, k), (p, c)]
+    kl, lk, lo, hi = np.empty((4, d, d, L.shape[1]), complex)
+    shape = (d, d, len(k), pairs.shape[-1])
+    spread = lambda out, a, b: np.copyto(out.reshape(shape), (a[:, None] * b[None])[..., None])
+    # out = a e[0] + b e[1]: the (k, l) and (l, k) terms with their weights
+    mix = lambda out, a, b, e: np.add(np.multiply(a, e[0], out=out), b * e[1], out=out)
+    spread(kl, T[:, k], tc[:, l])
+    spread(lk, T[:, l], tc[:, k])
+    lo, hi = mix(lo, kl, lk, L), mix(hi, kl, lk, U)
+    cross_terms = np.maximum(cross_terms, np.maximum(peak(lo), peak(hi)))
+    cross = np.maximum(cross, peak(np.add(lo, hi, out=lo)))
+    spread(kl, T[:, k], T[:, l])
+    pr = mix(lo, kl, kl.transpose(1, 0, 2), P)  # c'_i c'_j
+    return cross, cross_terms, peak(np.add(pr, pr.transpose(1, 0, 2), out=hi)), peak(pr)
 
 
 def haar_unitary(dim: int, seed: int = 0) -> np.ndarray:

@@ -5,12 +5,13 @@ family is indexed by the *total* occupation of a multimode state; the other
 families count a single mode.  Values always come from the closed forms;
 the recurrences survive only as independent oracles in the test suite.
 
-Each closed form is one array kernel over a range of levels: the powers
-come from Python's float pow, one per level (numpy's power differs in the
-last bit for some q), and the rest of the formula is numpy's `+ - * /` in
-the order the formula reads, so a level of a table is the same float as
-the level alone (Arik-Coon's levels near q = 1 take `math.expm1` and
-`math.log1p` per level).  The scalar forms are one-level calls of the kernels.
+Each closed form is one array kernel over a range of levels: the powers of
+q come from Python's float pow, one per level (numpy's power differs in the
+last bit for some q), (-1)**n is an exact sign vector, and the rest of the
+formula is numpy's `+ - * /` in the order the formula reads, so a level of
+a table is the same float as the level alone (Arik-Coon's levels near q = 1
+take `math.expm1` and `math.log1p` per level).  The scalar forms are
+one-level calls of the kernels.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def _powers(base: float, exponents: range) -> np.ndarray:
         return np.fromiter((_power(base, e) for e in exponents), float, len(exponents))
 
 
+def _signs(levels: range) -> np.ndarray:
+    """(-1)**n for each level n, exactly."""
+    return 1.0 - 2.0 * (np.arange(levels.start, levels.stop, levels.step) & 1)
+
+
 def _fn(q: float, levels: range) -> np.ndarray:
     # N q**(N - 1), and 0 at N = 0 with no power taken
     n = range(max(levels.start, 1), levels.stop)
@@ -61,11 +67,11 @@ def _ckn(q: float, levels: range) -> np.ndarray:
 
 def _pvc(q: float, levels: range) -> np.ndarray:
     qinv = 1.0 / q
-    return (_powers(qinv, levels) - _powers(-1.0, levels) * _powers(q, levels)) / (q + qinv)
+    return (_powers(qinv, levels) - _signs(levels) * _powers(q, levels)) / (q + qinv)
 
 
 def _vpjc(q: float, levels: range) -> np.ndarray:
-    return (1.0 - _powers(-1.0, levels) * _powers(q, levels)) / (1.0 + q)
+    return (1.0 - _signs(levels) * _powers(q, levels)) / (1.0 + q)
 
 
 def _arik_coon(q: float, levels: range) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Matrix representations: construction, relation residuals, audits."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -26,7 +27,22 @@ from qfermi import (
     spectrum,
     spectrum_of_number_operator,
 )
-from qfermi.fock import _class_columns, _fn_monomials, _maxabs, _peak, _scaled as _array_scaled
+from qfermi.fock import _fn_amplitude_table, _fn_layout, _maxabs, _mixed_peaks
+
+TRANSFORMS = st.sampled_from(["haar", "permutation", "identity", "phase"])
+
+
+def _transform(kind: str, d: int, seed: int) -> np.ndarray:
+    """A d x d unitary of the given kind, drawn from `seed`."""
+    if kind == "identity":
+        return np.eye(d)
+    if kind == "haar":
+        return haar_unitary(d, seed=seed)
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        return np.eye(d)[rng.permutation(d)]
+    return np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, d)))
+
 
 SINGLE_MODE_CASES = [
     (Model.VPJC, 0.3, 40),
@@ -89,6 +105,83 @@ def _fn_relation_residuals(cs, cdags, q, number_diag) -> dict:
     }
 
 
+# Array references: the checks on whole arrays, every mode pair and every
+# column, rounded as the package rounds, so the package equals them bit for
+# bit.  `_array_scaled` is the package's scale rule on such arrays.
+
+
+def _peak(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| over the last axis, kept as a length-1 axis (NaN propagates)."""
+    return np.abs(m).max(axis=-1, keepdims=True)
+
+
+def _array_scaled(residual: np.ndarray, *terms) -> float:
+    """Worst residual peak over the leading indices, each divided by the
+    largest peak of its own terms, floored at 1; infinite where a term is
+    not finite or a peak is NaN."""
+    scale = functools.reduce(np.maximum, map(_peak, terms), 1.0)
+    return _maxabs(np.where(np.isfinite(scale), _peak(residual) / scale, math.inf))
+
+
+def _fn_monomials(ops) -> tuple:
+    """c_i c_j*, q c_j* c_i and c_i c_j of an FN set as (d, d, 2**d) arrays.
+
+    Entry [i, j, s] is the one amplitude the monomial gives basis state s,
+    on row s ^ e_i ^ e_j for all three, so entries of one column add on one
+    row.  Each is the dense product's float: one product of two amplitudes,
+    then q, as `q * (c_j* @ c_i)` rounds it.
+    """
+    amps, flips = ops.amplitudes, ops.targets
+    up = np.take_along_axis(amps, flips, axis=1)  # c_j* |s> = up[j, s] |s ^ e_j>
+    flipped = amps[:, flips]  # [i, j, s]: amplitude of c_i on s ^ e_j
+    upper = ops.q * (up[:, flips].transpose(1, 0, 2) * amps[:, None, :])
+    return flipped * up, upper, flipped * amps
+
+
+@np.errstate(all="ignore")
+def _table_residuals(ops) -> dict:
+    """FN `check_algebra` on the full monomial table."""
+    lower, upper, pair = _fn_monomials(ops)
+    modes = np.arange(ops.n_modes)
+    q_pow = ops.q**ops.occupation
+    cross = lower + upper
+    cross[modes, modes] -= q_pow
+    right = ops.amplitudes * ops.occupation
+    shift = right - (ops.occupation[ops.targets] + 1.0) * ops.amplitudes
+    return {
+        "deformed_anticommutation": _array_scaled(cross, lower, upper, q_pow),
+        "double_annihilation": _array_scaled(pair + pair.transpose(1, 0, 2), pair),
+        "number_shift": _array_scaled(shift, right, ops.amplitudes),
+    }
+
+
+@np.errstate(all="ignore")
+def _ladder_residuals(ops) -> dict:
+    """Single-mode `check_algebra`, one array per relation and its terms."""
+    levels = ops.occupation
+    lowered = ops.targets[0]
+    down = ops.amplitudes[0]  # c |n> = down[n] |n-1>
+    up = np.append(down[1:], 0.0)  # c* |n> = up[n] |n+1>, 0 on the top state
+    lower = up * up
+    rhs = np.ones(ops.dim) if ops.model is Model.VPJC else ops.q**-levels
+    coeff = 1.0 / ops.q if ops.model is Model.CKN else ops.q
+    cols = ops.dim if ops.model is Model.CKN else ops.dim - 1
+    raise_term = coeff * (down * down)
+    n_c = levels[lowered] * down
+    n_cdag = (levels + 1.0) * up
+    residuals = {
+        "deformed_anticommutation": _array_scaled(
+            (lower + raise_term - rhs)[:cols], lower, raise_term, rhs
+        ),
+        "number_shift_c": _array_scaled(n_c - down * levels + down, n_c, down),
+        "number_shift_cdag": _array_scaled(n_cdag - up * levels - up, n_cdag, up),
+    }
+    if ops.model is Model.CKN:
+        residuals["c_squared"] = _maxabs(down[lowered] * down)
+        residuals["cdag_squared"] = _maxabs(up[1:] * up[:-1])
+    return residuals
+
+
 def _dense_covariance(d, q, transform) -> float:
     """`covariance_check` by dense products of the mixed complex matrices."""
     ops = build_fn_multimode(d, q)
@@ -102,18 +195,18 @@ def _dense_covariance(d, q, transform) -> float:
 
 
 @np.errstate(all="ignore")
-def _pairwise_covariance(d, q, transform) -> float:
-    """`covariance_check` with one mode pair (k, l) at a time over all 2**d
-    columns, and the diagonal terms by `einsum`."""
-    T = np.asarray(transform, dtype=complex)
-    ops = build_fn_multimode(d, q)
-    amps, flips, number = ops.amplitudes, ops.targets, ops.occupation
-    q_pow = q**number
+def _pairwise_peaks(ops, T) -> tuple:
+    """The peaks of `_mixed_peaks` on the full monomial table, as (d, d, 1)
+    arrays: one mode pair (k, l) at a time over all 2**d columns, and the
+    diagonal terms by the package's matrix product."""
+    d, q = ops.n_modes, ops.q
+    q_pow = q**ops.occupation
     lower, upper, pair = _fn_monomials(ops)
     tc = T.conj()
     modes = np.arange(d)
-    lower_diag = np.einsum("ik,jk,ks->ijs", T, tc, lower[modes, modes])
-    upper_diag = np.einsum("ik,jk,ks->ijs", T, tc, upper[modes, modes])
+    weights = (T[:, None] * tc[None]).reshape(d * d, d)
+    lower_diag = (weights @ lower[modes, modes]).reshape(d, d, -1)
+    upper_diag = (weights @ upper[modes, modes]).reshape(d, d, -1)
     diag = lower_diag + upper_diag
     diag[modes, modes] -= q_pow
     cross = _peak(diag)
@@ -130,6 +223,17 @@ def _pairwise_covariance(d, q, transform) -> float:
         pr = kl * pair[k, l] + kl.transpose(1, 0, 2) * pair[l, k]
         pair_res = np.maximum(pair_res, _peak(pr + pr.transpose(1, 0, 2)))
         pair_terms = np.maximum(pair_terms, _peak(pr))
+    return cross, cross_terms, pair_res, pair_terms
+
+
+@np.errstate(all="ignore")
+def _pairwise_covariance(d, q, transform) -> float:
+    """`covariance_check` on the full monomial table (`_pairwise_peaks`)."""
+    T = np.asarray(transform, dtype=complex)
+    ops = build_fn_multimode(d, q)
+    amps, flips, number = ops.amplitudes, ops.targets, ops.occupation
+    q_pow = q**number
+    cross, cross_terms, pair_res, pair_terms = _pairwise_peaks(ops, T)
     mixed = T[:, :, None] * amps
     right = (mixed * number).reshape(d, -1)
     shift = right - ((number[flips] + 1.0) * mixed).reshape(d, -1)
@@ -394,49 +498,47 @@ class TestCovariance:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.integers(1, 7),
-        q=st.floats(0.3, 2.5),
-        kind=st.sampled_from(["haar", "permutation", "phase"]),
-        data=st.data(),
-    )
-    def test_matches_dense_reference(self, d, q, kind, data):
+    @given(d=st.integers(1, 7), q=st.floats(0.3, 2.5), kind=TRANSFORMS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, d, q, kind, seed):
         # mixing the monomials instead of the matrices rounds differently, so
         # the two agree to rounding, not bit for bit.  For i = j the dense
         # c'_i c'_i is rounding noise on a vanishing product, so its scale
         # floors at 1 and it reads an absolute error of a few ulps of the
         # largest amplitude product, about q**(d - 1)
-        if kind == "haar":
-            transform = haar_unitary(d, seed=data.draw(st.integers(0, 2**32 - 1)))
-        elif kind == "permutation":
-            transform = np.eye(d)[data.draw(st.permutations(range(d)))]
-        else:
-            angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=d, max_size=d))
-            transform = np.diag(np.exp(1j * np.array(angles)))
+        transform = _transform(kind, d, seed)
         got = covariance_check(d, q, transform)
         dense = _dense_covariance(d, q, transform)
         assert got <= 1e-10 and dense <= 1e-10
         assert abs(got - dense) <= 1e-14 * max(1.0, q ** (d - 1))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(1, 9),
-        q=st.floats(0.3, 2.5),
-        kind=st.sampled_from(["haar", "permutation", "phase"]),
-        data=st.data(),
+        log_q=st.floats(-350.0, 350.0),
+        kind=TRANSFORMS,
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_pairwise_reference(self, d, q, kind, data):
-        # one column per class gives the per-pair peaks exactly; only the
-        # diagonal's matrix product sums in another order than the einsum
-        if kind == "haar":
-            transform = haar_unitary(d, seed=data.draw(st.integers(0, 2**32 - 1)))
-        elif kind == "permutation":
-            transform = np.eye(d)[data.draw(st.permutations(range(d)))]
-        else:
-            angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=d, max_size=d))
-            transform = np.diag(np.exp(1j * np.array(angles)))
-        got = covariance_check(d, q, transform)
-        assert abs(got - _pairwise_covariance(d, q, transform)) <= 1e-15 * max(1.0, q ** (d - 1))
+    @example(d=5, log_q=math.log(1e100), kind="haar", seed=5)  # infinite residuals
+    @example(d=9, log_q=709.0 / 4, kind="haar", seed=1)  # A[9] = e**709: A A overflows
+    @example(d=9, log_q=-744.0 / 4, kind="permutation", seed=1)  # A[9] subnormal
+    def test_matches_pairwise_reference(self, d, log_q, kind, seed):
+        # the pairs on one column per class give the per-pair peaks over all
+        # columns exactly, and the diagonal is the same matrix product.  The
+        # residual is rarely set by the pair terms, so every peak of every
+        # (i, j) is compared too
+        q = math.exp(log_q)
+        try:
+            ops = build_fn_multimode(d, q)
+        except ValueError:  # an amplitude overflows or underflows
+            assume(False)
+        transform = _transform(kind, d, seed)
+        assert covariance_check(d, q, transform) == _pairwise_covariance(d, q, transform)
+        T = transform.astype(complex)
+        with np.errstate(all="ignore"):
+            peaks = _mixed_peaks(T, ops, _fn_layout(d), q**ops.occupation)
+            expected = _pairwise_peaks(ops, T)
+        for got, want in zip(peaks, expected, strict=True):
+            assert np.array_equal(got, want.ravel(), equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
@@ -444,29 +546,28 @@ class TestCovariance:
         + [(d, 1e150) for d in range(1, 6)]
     )
     def test_pair_entries_depend_only_on_the_class(self, d, q):
-        # the six entries of a pair agree, up to one common sign, on every
-        # column of a class (N, occ_k, occ_l); `_class_columns` keeps one
-        # column of each class but (N, 0, 0), where all six are 0
-        ops = build_fn_multimode(d, q)
-        lower, upper, pair = _fn_monomials(ops)
-        bits = (np.arange(ops.dim) >> np.arange(d - 1, -1, -1)[:, None]) & 1
-        k, l = np.triu_indices(d, 1)
-        cols = _class_columns(ops, k, l)
-        assert len(cols) == len(k)
-        for p, (kp, lp) in enumerate(zip(k, l)):
-            six = np.stack([m[a, b] for m in (lower, upper, pair) for a, b in ((kp, lp), (lp, kp))])
-            key = (ops.occupation.astype(int) * 2 + bits[kp]) * 2 + bits[lp]
-            column_of = np.full(4 * (d + 1), -1)
-            column_of[key[cols[p]]] = cols[p]
-            assert (column_of >= 0).sum() == cols.shape[1] == 3 * (d - 1)  # one per class
-            kept = column_of[key] >= 0
-            assert not six[:, ~kept].any() and (key[~kept] % 4 == 0).all()
-            rep = six[:, column_of[key[kept]]]
-            same, flipped = (six[:, kept] == rep).all(axis=0), (six[:, kept] == -rep).all(axis=0)
+        # the six entries [k, l, s] and [l, k, s] of a pair k < l are, up to
+        # one sign they share, the (0, 1) and (1, 0) entries on the layout's
+        # column of the class (N, occ_k, occ_l) of s, and every |c_k| is
+        # |c_0| on the column of (N, occ_0 = occ_k): the covariance reads only
+        # those columns
+        ops, layout = build_fn_multimode(d, q), _fn_layout(d)
+        tables = _fn_monomials(ops)
+        entries = lambda i, j: np.stack([m[a, b] for m in tables for a, b in ((i, j), (j, i))])
+        key = lambda i, j: (layout.total * 2 + layout.occupied[i]) * 2 + layout.occupied[j]
+        column_of = np.full(4 * (d + 1), -1)
+        column_of[key(0, min(1, d - 1))[layout.columns]] = layout.columns
+        for k, l in zip(*np.triu_indices(d, 1)):
+            six = entries(k, l)
+            rep = entries(0, 1)[:, column_of[key(k, l)]]
+            same, flipped = (six == rep).all(axis=0), (six == -rep).all(axis=0)
             assert (same | flipped).all()
+        magnitudes = np.unique(np.abs(ops.amplitudes[0, layout.columns]))
+        assert np.array_equal(magnitudes, np.unique(np.abs(ops.amplitudes)))
 
     def test_twelve_modes(self):
-        # the per-pair loop over all 4096 columns took seconds here
+        # the per-pair loop over all 4096 columns took seconds here, and the
+        # (12, 12, 4096) monomial table traced 67.7 MB
         transform = haar_unitary(12, seed=2)
         tracemalloc.start()
         try:
@@ -475,7 +576,7 @@ class TestCovariance:
         finally:
             tracemalloc.stop()
         assert residual <= 1e-10
-        assert peak < 100 * 2**20
+        assert peak < 40 * 2**20
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -637,6 +738,38 @@ class TestFnPermutationArrays:
         )
         assert check_algebra(ops).relation_residuals == dense
 
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 12), log_q=st.floats(-350.0, 350.0))
+    @example(d=12, log_q=709.0 / 5.5)  # A[12] = e**709: its products overflow
+    @example(d=12, log_q=-744.0 / 5.5)  # A[12] subnormal: its products underflow
+    @example(d=2, log_q=709.0)  # q**2 overflows, the amplitudes do not
+    def test_residuals_equal_table_evaluation(self, d, log_q):
+        q = math.exp(log_q)
+        try:
+            ops = build_fn_multimode(d, q)
+        except ValueError:  # an amplitude overflows or underflows
+            assume(False)
+        assert check_algebra(ops).relation_residuals == _table_residuals(ops)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 10),
+        log_q=st.floats(-100.0, 100.0),
+        amplitude_of=st.lists(
+            st.one_of(st.floats(-1e308, 1e308), st.sampled_from([math.inf, -math.inf])),
+            min_size=11,
+            max_size=11,
+        ),
+    )
+    def test_any_layout_amplitudes_equal_table_evaluation(self, d, log_q, amplitude_of):
+        # any A[N] of either sign, up to infinite, as long as the set keeps the
+        # layout's signs and zeros
+        amplitudes = _fn_amplitude_table(_fn_layout(d), np.array(amplitude_of[: d + 1]))
+        ops = dataclasses.replace(
+            build_fn_multimode(d, 0.5), amplitudes=amplitudes, q=math.exp(log_q)
+        )
+        assert check_algebra(ops).relation_residuals == _table_residuals(ops)
+
     @pytest.mark.parametrize("q", FN_EXACT_QS)
     @pytest.mark.parametrize("d", range(1, 7))
     def test_dense_matrices_equal_state_loop(self, d, q):
@@ -734,6 +867,43 @@ class TestSingleModeArrays:
         ops = build_single_mode(model, q, 2 if model is Model.CKN else dim)
         _assert_matches_dense(ops, [level % ops.dim])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from([Model.VPJC, Model.PVC, Model.CKN]),
+        log_q=st.floats(-350.0, 350.0),
+        dim=st.integers(2, 260),
+    )
+    @example(model=Model.PVC, log_q=math.log(0.3), dim=590)  # [589] = 2.8e307
+    def test_residuals_equal_array_evaluation(self, model, log_q, dim):
+        try:
+            ops = build_single_mode(model, math.exp(log_q), 2 if model is Model.CKN else dim)
+        except ValueError:  # a level overflows
+            assume(False)
+        assert check_algebra(ops).relation_residuals == _ladder_residuals(ops)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from([Model.VPJC, Model.PVC, Model.CKN]),
+        log_q=st.floats(-50.0, 50.0),
+        amplitudes=st.lists(
+            st.one_of(
+                st.floats(-3.0, 3.0),
+                st.sampled_from([0.0, -0.0, 1e154, 1e200, -1e308, math.inf, math.nan]),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+    )
+    def test_any_amplitudes_equal_array_evaluation(self, model, log_q, amplitudes):
+        # the single-mode checks read whatever amplitudes a set carries
+        dim = 2 if model is Model.CKN else len(amplitudes)
+        ops = dataclasses.replace(
+            build_single_mode(model, 0.5, dim),
+            amplitudes=np.array([amplitudes[:dim]]),
+            q=math.exp(log_q),
+        )
+        assert check_algebra(ops).relation_residuals == _ladder_residuals(ops)
+
     def test_long_ladder_without_dense_matrices(self):
         # a dense 20,000-level matrix would take 3.2 GB
         ops = build_single_mode(Model.VPJC, 0.5, 20_000)
@@ -777,6 +947,56 @@ class TestOverflow:
             ops.annihilators, ops.creators, q, np.diag(ops.number_op)
         )
         assert dense == report.relation_residuals
+
+
+ANY_Q = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestFiniteOrTyped:
+    """Over the whole double range of q, and for transforms that are not
+    finite or not unitary, each result is finite, infinite or a ValueError."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # an infinite level
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from([Model.FN, Model.CKN, Model.PVC, Model.VPJC]),
+        q=ANY_Q,
+        size=st.integers(1, 12),
+    )
+    def test_checks_and_number_spectra(self, model, q, size):
+        try:
+            if model is Model.FN:
+                ops = build_fn_multimode(size, q)
+            else:
+                ops = build_single_mode(model, q, 2 if model is Model.CKN else 20 * size)
+        except ValueError:
+            return
+        residuals = list(check_algebra(ops).relation_residuals.values())
+        assert all(r >= 0.0 for r in residuals), residuals  # no NaN
+        assert (spectrum_of_number_operator(ops) >= 0.0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        q=ANY_Q,
+        kind=st.sampled_from(["unitary", "not finite", "not unitary"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_covariance(self, d, q, kind, seed):
+        transform = haar_unitary(d, seed=seed)
+        if kind == "not finite":
+            transform[seed % d, seed // d % d] = (math.nan, math.inf, -math.inf)[seed % 3]
+        elif kind == "not unitary":
+            transform = transform * (1.0 + 2.0**-20)
+        try:
+            residual = covariance_check(d, q, transform)
+        except ValueError:
+            return
+        assert kind == "unitary"
+        assert residual >= 0.0  # no NaN
 
 
 def test_fn_amplitude_underflow_names_occupation():

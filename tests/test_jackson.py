@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 from qfermi import (
     Model,
     SingularPointError,
+    build_fn_multimode,
+    check_algebra,
+    covariance_check,
+    haar_unitary,
     jd_operator_identity_residual,
     jd_polynomial,
     pvc_basic,
@@ -141,11 +145,19 @@ class TestOperatorIdentity:
         with pytest.raises(ValueError, match=f"test polynomial {row} has a coefficient"):
             jd_operator_identity_residual(model, 0.5, polys)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_overflow_to_nan_reads_as_infinite(self):
         # VPJC q = 3: [4] = -20 and [3] = 7, so p_3 [4] + q p_3 [3] is -inf + inf
         assert jd_operator_identity_residual(Model.VPJC, 3.0, [[0.0, 0.0, 0.0, 1e308]]) == np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowed_check_reads_as_infinite_without_a_warning():
+    # one rule for every residual check: the identity residual, the relation
+    # checks and the covariance report an overflow as inf, and numpy prints no
+    # RuntimeWarning on the way (a warning is an error here)
+    assert jd_operator_identity_residual(Model.VPJC, 3.0, [[0.0, 0.0, 0.0, 1e308]]) == np.inf
+    assert check_algebra(build_fn_multimode(3, 1e150)).max_residual == np.inf
+    assert covariance_check(3, 1e150, haar_unitary(3, seed=5)) == np.inf
 
 
 @settings(max_examples=60, deadline=None)

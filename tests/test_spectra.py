@@ -21,6 +21,7 @@ from qfermi import (
     vpjc_basic,
     vpjc_recurrence_residual,
 )
+from qfermi.spectra import _closed_form
 
 
 def vpjc_alternating_oracle(n: int, q: Fraction) -> Fraction:
@@ -321,5 +322,25 @@ def test_table_is_the_per_level_closed_form_bit_for_bit(model, q, nmax):
         values = spectrum(model, q, nmax).values
     except ValueError as error:
         assert (type(error), str(error)) == expected[-1]
+    else:
+        assert values.view(np.int64).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    q=st.one_of(st.floats(0.01, 3.0), st.floats(1e-300, 1e300)),
+    start=st.integers(0, 1500),
+    length=st.integers(1, 200),
+)
+def test_kernel_ranges_are_the_one_level_calls_bit_for_bit(model, q, start, length):
+    # a table of levels start..start + length - 1 holds each level's
+    # one-level float: (-1)**n follows the level's parity, not its position
+    levels = range(start, start + length)
+    expected = [_outcome(basic_number, model, n, q) for n in levels]
+    try:
+        values = _closed_form(model, q, levels)
+    except ValueError as error:
+        assert (type(error), str(error)) == next(e for e in expected if not isinstance(e, int))
     else:
         assert values.view(np.int64).tolist() == expected
