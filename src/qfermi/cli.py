@@ -243,7 +243,7 @@ def _cmd_virial(args) -> int:
     q_list = _parse_q_list(_resolve(args, "q", "0.3,0.5,0.9,1.5"))
     orders = int(_resolve(args, "orders", 3))
     fitted = {q: thermo.virial_coefficients(model, q, orders) for q in q_list}
-    targets = {2: 2.0**-2.5, 3: 0.125 - 2.0 * 3.0**-2.5}
+    targets = thermo.VIRIAL_TARGETS
     lines = [f"virial coefficients, model={model.value}, orders={orders}"]
     for q, coeffs in fitted.items():
         pretty = ", ".join(f"a{k + 1}={c:.10g}" for k, c in enumerate(coeffs))
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
             _load_config_file(args.config) if getattr(args, "config", None) else {}
         )
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: e.g. unwritable --out
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # bad --out, huge table
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -295,12 +295,11 @@ def spectrum_of_number_operator(ops: OperatorSet) -> np.ndarray:
     """Diagonal of c*c (single mode) or of the summed c_i* c_i (multimode).
 
     (c_i* c_i)_kk is the square of the amplitude of c_i on state k; the sum
-    runs in mode order, as the dense sum of the products would.
+    runs in mode order, as the dense sum of the products would.  A level
+    that overflows a double reads as inf, without a numpy warning.
     """
-    total = np.zeros(ops.dim)
-    for amplitude in ops.amplitudes:
-        total += amplitude * amplitude
-    return total
+    with np.errstate(over="ignore"):
+        return np.square(ops.amplitudes).sum(axis=0)
 
 
 def _ratio(residual: float, *terms: float) -> float:
@@ -547,7 +546,8 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
 
     Raises NonNormalizableStateError when the squared norm [n]! is zero or
     negative (e.g. VPJC at q = 1 for n >= 2, where the ladder terminates) or
-    when the ladder passes a zeroed negative level (VPJC at q > 1).
+    when the ladder passes a zeroed negative level (VPJC at q > 1), and
+    ValueError when [n]! overflows or is too small (subnormal) to normalize.
     """
     if ops.n_modes != 1:
         raise ValueError("build_state applies to single-mode representations")
@@ -572,7 +572,8 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
     vec = np.zeros(ops.dim)
     vec[n] = math.prod(ops.amplitudes[0, 1 : n + 1].tolist()) / math.sqrt(norm_sq)
     if not abs(vec[n] - 1.0) <= 1e-12:
-        raise RuntimeError("ladder construction deviated from the basis vector")
+        raise ValueError(f"{ops.model.value} state {n} at q = {ops.q}: [n]! = {norm_sq} "
+                         "is not resolved in double precision")
     return vec
 
 

@@ -6,12 +6,12 @@ families count a single mode.  Values always come from the closed forms;
 the recurrences survive only as independent oracles in the test suite.
 
 Each closed form is one array kernel over a range of levels: the powers of
-q come from Python's float pow, one per level (numpy's power differs in the
-last bit for some q), (-1)**n is an exact sign vector, and the rest of the
-formula is numpy's `+ - * /` in the order the formula reads, so a level of
-a table is the same float as the level alone (Arik-Coon's levels near q = 1
-take `math.expm1` and `math.log1p` per level).  The scalar forms are
-one-level calls of the kernels.
+q are one `np.float_power` call, which is libm `pow`, the function behind
+Python's float `**` (a rule `tests/test_spectra.py` pins), (-1)**n is an
+exact sign vector, and the rest of the formula is numpy's `+ - * /` in the
+order the formula reads, so a level of a table is the same float as the
+level alone (Arik-Coon's levels near q = 1 take `math.expm1` and
+`math.log1p` per level).  The scalar forms are one-level calls of the kernels.
 """
 
 from __future__ import annotations
@@ -30,19 +30,9 @@ def _require_index(n) -> int:
     return int(n)
 
 
-def _power(base: float, exponent: int) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
 def _powers(base: float, exponents: range) -> np.ndarray:
-    """base**e for each exponent by Python's float pow; inf where it overflows."""
-    try:
-        return np.fromiter(map(base.__pow__, exponents), float, len(exponents))
-    except OverflowError:
-        return np.fromiter((_power(base, e) for e in exponents), float, len(exponents))
+    """base**e for each exponent, by libm pow; inf where it overflows."""
+    return np.float_power(base, np.arange(exponents.start, exponents.stop, exponents.step))
 
 
 def _signs(levels: range) -> np.ndarray:

@@ -597,6 +597,10 @@ def _series_compose(outer: list, inner: list, order: int) -> list:
     return out
 
 
+# a_2 and a_3 of the undeformed ideal Fermi gas: the fitted coefficients' targets
+VIRIAL_TARGETS = {2: 2.0**-2.5, 3: 0.125 - 2.0 * 3.0**-2.5}
+
+
 def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
     """Virial coefficients a_1..a_orders of P v / kT = sum a_k (lambda**3/v)**(k-1).
 
@@ -635,7 +639,7 @@ def virial_coefficients(model: Model, q: float, orders: int = 3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # low-temperature chemical potential
 
-_SOMMERFELD = (1.0, math.pi**2 / 8.0, 7.0 * math.pi**4 / 640.0)
+_SOMMERFELD = math.pi**2 / 8.0  # the L**-2 coefficient of the density bracket
 _MU_OVERFLOW = "reduced temperature too small: the density equation overflows"
 
 
@@ -656,21 +660,21 @@ def ckn_mu_lowT(t: float, q: float) -> float:
     return fn_mu_lowT(t, 1.0 / q)
 
 
-def fn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
+def fn_mu_numeric(t: float, q: float) -> float:
     """mu/eps_F from the low-temperature density equation, solved for ln(q z).
 
     Fixes the density at its T = 0 Fermi-sphere value, writes the density
-    equation as t**1.5 L**1.5 [1 + (pi**2/8) L**-2 + ...] = 1 with
+    equation as t**1.5 L**1.5 [1 + (pi**2/8) L**-2] = 1 with
     L = ln(q z), solves for L by bisection and returns t ln z = t (L - ln q).
     Agrees with `fn_mu_lowT` through second order in t.
     """
-    return float(fn_mu_numeric_array(t, q, sommerfeld_terms))
+    return float(fn_mu_numeric_array(t, q))
 
 
-def ckn_mu_numeric(t: float, q: float, sommerfeld_terms: int = 2) -> float:
+def ckn_mu_numeric(t: float, q: float) -> float:
     """CKN numeric chemical potential: the FN solver at q -> 1/q."""
     require_positive_q(q)
-    return fn_mu_numeric(t, 1.0 / q, sommerfeld_terms)
+    return fn_mu_numeric(t, 1.0 / q)
 
 
 # Each `*_mu_*_array` kernel maps t and q broadcast against each other, under
@@ -713,22 +717,16 @@ def ckn_mu_lowT_array(t, q) -> np.ndarray:
     return fn_mu_lowT_array(t, _inverse_q(q))
 
 
-def fn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
+def fn_mu_numeric_array(t, q) -> np.ndarray:
     """`fn_mu_numeric` at each point of t and q broadcast.  The root L of the
     density equation depends on t only, so it is solved once per t, by one
     bisection over all t at once, and shifted by ln q for each q."""
     t = _t_array(t)
     log_q = np.log(_q_array(q))
-    if sommerfeld_terms not in (1, 2, 3):
-        raise ValueError("sommerfeld_terms must be 1, 2 or 3")
-    coeffs = _SOMMERFELD[sommerfeld_terms - 1 :: -1]
     flat = t.ravel()
 
     def lhs(big_l: np.ndarray, rows) -> np.ndarray:
-        # the bracket sum c_k L**(-2k) by Horner's rule in L**-2
-        x, bracket = np.power(big_l, -2.0), coeffs[0]
-        for c in coeffs[1:]:
-            bracket = bracket * x + c
+        bracket = _SOMMERFELD * np.power(big_l, -2.0) + 1.0
         return t_factor[rows] * np.power(big_l, 1.5) * bracket - 1.0
 
     with np.errstate(all="ignore"):
@@ -742,9 +740,9 @@ def fn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
         return t * (big_l - log_q)
 
 
-def ckn_mu_numeric_array(t, q, sommerfeld_terms: int = 2) -> np.ndarray:
+def ckn_mu_numeric_array(t, q) -> np.ndarray:
     """`ckn_mu_numeric` at each point of t and q broadcast."""
-    return fn_mu_numeric_array(t, _inverse_q(q), sommerfeld_terms)
+    return fn_mu_numeric_array(t, _inverse_q(q))
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,7 @@ def check_thermo(seed=0, **_):
                 if trace.converged:
                     rows.residual(f"trace_{model.value}_q{q}_eta{eta}",
                                   trace.identity_residual, limit)
-    a2_target = 2.0**-2.5
-    a3_target = 0.125 - 2.0 * 3.0**-2.5
+    a2_target, a3_target = thermo.VIRIAL_TARGETS[2], thermo.VIRIAL_TARGETS[3]
     fn_a2 = [thermo.virial_coefficients(Model.FN, q, 3) for q in (0.3, 0.5, 0.9, 1.5)]
     rows.residual("virial_fn_a2", max(abs(c[1] - a2_target) for c in fn_a2), 1e-10)
     rows.residual(

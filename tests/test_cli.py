@@ -1,5 +1,6 @@
 """Command-line surface: CSV schemas, exit codes, determinism, check suite."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qfermi
@@ -871,3 +872,78 @@ class TestRejectedInput:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: pvc spectrum at q = 0.3: level 590")
         assert "Traceback" not in proc.stderr
+
+
+# Flag values for the argv fuzz, by option dest; an option not named here gets
+# short random text.  Counts stay small or far past what can be allocated
+# (10**17 doubles, 10**31 elements), so no draw builds a large table.
+_NUMBERS = ["0", "-1", "0.5", "2", "1/3", "1e-300", "5e-324", "1e308", "1e400",
+            "nan", "inf", "-inf", "", "x"]
+_COUNTS = ["-1", "0", "1", "2", "3", "9", "40", "2001", "100000000000000000", "1" + "0" * 31,
+           "", "x", "2.5"]
+_CONFIG_LINES = ["model=pvc", "q=0.5", "grid=0:1:3", "nmax=1e400", "tol=nan", "seed=-1",
+                 "orders=x", "xi=inf", "g-mult=1e308", "bogus", "# note", "group=spectra"]
+
+
+def _flag_values(tmp_path):
+    number = st.sampled_from(_NUMBERS)
+    count = st.sampled_from(_COUNTS)
+    config = tmp_path / "fuzz.cfg"
+
+    def write_config(lines) -> str:
+        config.write_text("\n".join(lines))
+        return str(config)
+
+    return {
+        "model": st.sampled_from(["fn", "ckn", "pvc", "vpjc", "arik-coon", "ARIK_COON", "", "x"]),
+        "q": st.lists(number, max_size=3).map(",".join),
+        "grid": st.one_of(
+            st.tuples(number, number, count).map(":".join),
+            st.sampled_from(["", "::", "1:2", "0:1:2:3", "-5:5:2.5", "0.01:0.2:3", "0.01:0.9:3"]),
+        ),
+        "tol": st.sampled_from(_NUMBERS + ["1e-12", "1e-3"]),
+        "g_mult": number,
+        "xi": number,
+        "vpjc_q": number,
+        "orders": count,
+        "nmax": count,
+        "seed": count,
+        "group": st.sampled_from([*verify.GROUPS, "", "x"]),
+        "out": st.sampled_from([str(tmp_path / "t.csv"), str(tmp_path / "no" / "t.csv"),
+                                str(tmp_path), ""]),
+        "config": st.one_of(
+            st.just(str(tmp_path / "missing.cfg")),
+            st.lists(st.sampled_from(_CONFIG_LINES), max_size=4).map(write_config),
+        ),
+    }
+
+
+def _fuzz_argv(data, tmp_path) -> list:
+    """One command and a draw of its own parser's options, each with a value
+    of its kind where it takes one; --help one time in ten."""
+    values = _flag_values(tmp_path)
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    name = data.draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in commands[name]._actions:
+        if not action.option_strings:  # figure's name
+            argv += data.draw(st.sampled_from([["fig1"], ["fig2"], ["fig3"], [""], []]))
+            continue
+        odds = 10 if isinstance(action, argparse._HelpAction) else 2
+        if data.draw(st.integers(0, odds - 1)):
+            continue
+        argv.append(data.draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(data.draw(values.get(action.dest, st.text(max_size=6))))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2(data, tmp_path, monkeypatch):
+    # no exception leaves main, whatever the flags: a bad value is exit 2
+    monkeypatch.chdir(tmp_path)  # default output names land here too
+    argv = _fuzz_argv(data, tmp_path)
+    assert main(argv) in (0, 1, 2), argv

@@ -23,9 +23,12 @@ from qfermi import (
     covariance_check,
     fn_spectrum,
     haar_unitary,
+    basic_factorial,
     basic_number,
     spectrum,
     spectrum_of_number_operator,
+    virial_coefficients,
+    vpjc_recurrence_residual,
 )
 from qfermi.fock import _fn_amplitude_table, _fn_layout, _maxabs, _mixed_peaks
 
@@ -344,7 +347,7 @@ def _assert_state_matches_dense(ops, n):
         expected = np.zeros(ops.dim)
         expected[n] = 1.0
         if _maxabs(dense - expected) > 1e-12:
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match=rf"state {n} .* not resolved in double"):
                 build_state(ops, n)
         else:
             assert np.array_equal(build_state(ops, n), dense)
@@ -959,7 +962,7 @@ class TestFiniteOrTyped:
     """Over the whole double range of q, and for transforms that are not
     finite or not unitary, each result is finite, infinite or a ValueError."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # an infinite level
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an infinite level is silent
     @settings(max_examples=150, deadline=None)
     @given(
         model=st.sampled_from([Model.FN, Model.CKN, Model.PVC, Model.VPJC]),
@@ -977,6 +980,53 @@ class TestFiniteOrTyped:
         residuals = list(check_algebra(ops).relation_residuals.values())
         assert all(r >= 0.0 for r in residuals), residuals  # no NaN
         assert (spectrum_of_number_operator(ops) >= 0.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(list(Model)),
+        q=st.one_of(
+            st.floats(min_value=2.0**-1074, max_value=1.8e308),
+            st.sampled_from([5e-324, 1.8e308, 1.0, 1 - 2**-53, 1 + 2**-52]),
+        ),
+        nmax=st.integers(0, 2000),
+        level=st.integers(0, 2000),
+    )
+    @example(model=Model.PVC, q=1 - 2**-53, nmax=44, level=44)  # [44]! is subnormal
+    def test_ladder_functions(self, model, q, nmax, level):
+        # every result is finite, or the documented inf of an overflowed
+        # factorial or number level, or a ValueError (models.py's subclass it)
+        def call(func, *args):
+            try:
+                return func(*args)
+            except ValueError:
+                return None
+
+        n = level % (nmax + 1)
+        table = call(spectrum, model, q, nmax)
+        if table is not None:
+            assert np.isfinite(table.values).all()
+            assert not np.isnan(table.factorials).any()
+        scalars = [call(basic_number, model, n, q), call(basic_factorial, model, n, q),
+                   call(vpjc_recurrence_residual, nmax, q)]
+        assert all(math.isfinite(x) for x in scalars if x is not None), scalars
+        if model in (Model.FN, Model.CKN):
+            coefficients = call(virial_coefficients, model, q, 2 + nmax % 5)
+            assert coefficients is None or np.isfinite(coefficients).all()
+        if model is Model.FN:
+            ops = call(build_fn_multimode, 1 + nmax % 12, q)
+        elif model is Model.CKN:
+            ops = call(build_single_mode, model, q, 2)
+        else:
+            ops = call(build_single_mode, model, q, max(2, nmax + 1))
+        if ops is None:
+            return
+        assert np.isfinite(ops.amplitudes).all()
+        number = spectrum_of_number_operator(ops)
+        assert (number >= 0.0).all()  # no NaN; an overflowed level is inf
+        if ops.n_modes == 1:
+            state = call(build_state, ops, n % ops.dim)
+            assert state is None or np.isfinite(state).all()
 
     @settings(max_examples=80, deadline=None)
     @given(

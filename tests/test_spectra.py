@@ -267,6 +267,30 @@ def test_factorials_equal_the_left_to_right_loop_bit_for_bit():
                 assert basic_factorial(model, n, q) == product
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.floats(min_value=2.0**-1074, max_value=2.0**1023),
+    reciprocal=st.booleans(),
+    exponents=st.lists(st.integers(-2100, 2100), min_size=1, max_size=40),
+)
+def test_float_power_is_python_pow_bit_for_bit(b, reciprocal, exponents):
+    # the kernels take their powers from np.float_power, which must be libm
+    # pow, the function behind Python's float `**`; np.power is not
+    base = 1.0 / b if reciprocal else b
+    expected = []
+    for e in exponents:
+        try:
+            expected.append(base**e)
+        except OverflowError:
+            expected.append(math.inf)
+    with np.errstate(all="ignore"):
+        table = np.float_power(base, np.array(exponents))
+        alone = [np.float_power(base, e) for e in exponents]
+    assert all(np.ndim(x) == 0 for x in alone)
+    bits = np.array(expected).view(np.int64).tolist()
+    assert table.view(np.int64).tolist() == np.array(alone).view(np.int64).tolist() == bits
+
+
 def _reference_level(model: Model, n: int, q: float) -> float:
     """The closed form of one level in Python floats: ValueError with the
     package's text where it overflows a double."""
