@@ -27,9 +27,10 @@ with exact leading zeros), so `f_gen_array` gives each point the bits of
 
 The h-family needs 0 < q < 1 and z/q < 1 strictly.  Its alternating sum is
 the same accelerated kernel; its second sum, in r = z/q, is summed directly
-up to a geometric tail bound, in spans of np.power terms reduced by numpy's
-pairwise sum, with the pieces added by two-sum and the rounding of r
-corrected to first order by the exact remainder z - r q.  These kernels too
+up to a geometric tail bound, in spans of terms whose powers r**k run on
+numpy's contiguous power loop, each span reduced by numpy's pairwise sum,
+with the pieces added by two-sum and the rounding of r corrected to first
+order by the exact remainder z - r q.  These kernels too
 run on a float and on an array of points alike, each point with its own
 cutoff, so `h_gen_array` gives each point the bits of `h_gen`.  The bound
 covers the rounding of the arguments, of both sums and of the final
@@ -309,9 +310,17 @@ def _pairwise_depth(n: int) -> int:
 
 def _direct_span(state, r, expo, first, length: int, split: int):
     """`state` with the terms first .. first + length - 1 added as two
-    pieces, the first `split` terms and the rest (see `_direct_extend`)."""
+    pieces, the first `split` terms and the rest (see `_direct_extend`).
+
+    r**k is taken on a contiguous base filled with r, not on the float or
+    the (rows, 1) column itself: numpy runs its contiguous power loop there,
+    about twice as fast as the loop it runs on a broadcast operand, and with
+    the same bits (`test_numpy_layout_keeps_the_bits`)."""
     k = _SPAN_INDICES[:length] + (first - 1)
-    terms = np.power(r, k) * np.power(k, -expo)
+    terms = np.empty(k.shape)
+    terms[...] = r
+    np.power(terms, k, out=terms)
+    terms *= np.power(k, -expo)
     total, error, spread, slope = state
     for piece, size in ((terms[..., :split], split), (terms[..., split:], length - split)):
         if size:
@@ -378,9 +387,10 @@ def _h_bound(z, q, r, s_alt, e_alt, state, n, tail, scale):
     s_alt - s_pos, and the bound of h, for floats or per point.
 
     Rounding of s_pos at one point, with u = eps / 2:
-      * a term has two pow calls within one ulp each (numpy 2.4's vectorised
-        pow measured at most 0.68 ulp on an AVX-512 x86-64 build) and a
-        product: at most 5 u relative;
+      * a term has two pow calls within one ulp each, both in numpy's loop
+        for contiguous operands (`_direct_span`; numpy 2.4's vectorised pow
+        measured at most 0.68 ulp on an AVX-512 x86-64 build) and a product:
+        at most 5 u relative;
       * a piece of l terms is numpy's pairwise sum, which passes each
         (positive) term through at most `_pairwise_depth`(l) additions, each
         off by at most u times its result: u spread in all;

@@ -547,15 +547,17 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
     Raises NonNormalizableStateError when the squared norm [n]! is zero or
     negative (e.g. VPJC at q = 1 for n >= 2, where the ladder terminates) or
     when the ladder passes a zeroed negative level (VPJC at q > 1), and
-    ValueError when [n]! overflows or is too small (subnormal) to normalize.
+    ValueError when [n]! overflows or is too small (subnormal, or a product
+    of positive levels that underflowed to 0) to normalize.
     """
     if ops.n_modes != 1:
         raise ValueError("build_state applies to single-mode representations")
     if n != int(n) or not 0 <= n < ops.dim:
         raise ValueError(f"level must lie in 0..{ops.dim - 1}, got {n!r}")
     n = int(n)
-    norm_sq = float(spectrum(ops.model, ops.q, n).factorials[n])
-    if norm_sq <= 0.0:
+    table = spectrum(ops.model, ops.q, n)
+    norm_sq = float(table.factorials[n])
+    if norm_sq <= 0.0 and not (table.values[1:] > 0.0).all():
         raise NonNormalizableStateError(
             f"state {n} has squared norm [n]! = {norm_sq}; not normalizable"
         )
@@ -569,11 +571,12 @@ def build_state(ops: OperatorSet, n: int) -> np.ndarray:
             f"state {n} lies past level {level}, whose g = {g} < 0 was zeroed"
         )
     # (c*)**n |0> is sqrt(g_1) ... sqrt(g_n) |n>, multiplied level by level
-    vec = np.zeros(ops.dim)
-    vec[n] = math.prod(ops.amplitudes[0, 1 : n + 1].tolist()) / math.sqrt(norm_sq)
-    if not abs(vec[n] - 1.0) <= 1e-12:
+    amplitude = math.prod(ops.amplitudes[0, 1 : n + 1].tolist())
+    if not (norm_sq > 0.0 and abs(amplitude / math.sqrt(norm_sq) - 1.0) <= 1e-12):
         raise ValueError(f"{ops.model.value} state {n} at q = {ops.q}: [n]! = {norm_sq} "
                          "is not resolved in double precision")
+    vec = np.zeros(ops.dim)
+    vec[n] = amplitude / math.sqrt(norm_sq)
     return vec
 
 

@@ -27,7 +27,7 @@ from qfermi import (
     standard_fd,
 )
 from qfermi.fdseries import _CHUNK, _MAX_TERMS, _PAIRWISE_DEPTH, _direct_cutoff, _direct_tail
-from qfermi.thermo import pvc_eos, pvc_eos_array
+from qfermi.thermo import ckn_eos, ckn_eos_array, fn_eos, fn_eos_array, pvc_eos, pvc_eos_array
 
 # -Li_{5/2}(-0.1), 40-digit evaluation
 F_52_AT_POINT_ONE = 0.09829342634208691272342299024886014558
@@ -315,10 +315,16 @@ def test_numpy_sum_is_the_assumed_pairwise_tree():
         assert fdseries._pairwise_depth(n) == (_pairwise_depth(n) if n <= 128 else _PAIRWISE_DEPTH)
 
 
+def _bits(a):
+    """The float64 cells of a as int64 bit patterns."""
+    return np.ascontiguousarray(a).view(np.int64).tolist()
+
+
 def test_numpy_layout_keeps_the_bits():
     # the array pass of h_gen equals the scalar bit for bit because a row of
     # a 2-D block, a strided slice included, reduces (and dots) to the bits
     # of the 1-D call, and a broadcast np.power gives the bits of the 1-D one
+    # and of one on a contiguous base
     rng = np.random.default_rng(11)
     for length in (1, 7, 8, 63, 64, 65, 129, 1000, _CHUNK, _CHUNK + 64):
         block = rng.random((4, length)) * 10.0 ** rng.uniform(-5.0, 5.0, (4, length))
@@ -333,6 +339,25 @@ def test_numpy_layout_keeps_the_bits():
         for i in range(4):
             assert np.power(r[:, None], ks)[i].tolist() == np.power(r[i], ks[i].copy()).tolist()
             assert np.power(ks, -2.37)[i].tolist() == np.power(ks[i].copy(), -2.37).tolist()
+
+    # `_direct_span` takes r**k on a contiguous base filled with r, where
+    # numpy runs a faster loop than on a broadcast float or (rows, 1)
+    # column: exact only while the loops agree.  (r, first k - 1) draws take
+    # powers into the subnormal range (0.5**1074, 0.9**7000, 0.999**740000),
+    # and reach r = 1 - 2**-53 and r near 1
+    k = np.arange(1.0, _CHUNK + 65.0)
+    draws = [(0.5, 0), (0.9, 0), (0.999, 705_000), (1.0 - 2.0**-53, 10**6)]
+    draws += list(zip((rng.uniform(0.0, 1.0, 4) ** 0.01).tolist(), rng.integers(0, 10**6, 4).tolist()))
+    column = np.array([[r] for r, _ in draws])
+    ks = k + np.array([[offset] for _, offset in draws], dtype=float)
+    base = np.empty(ks.shape)
+    base[...] = column
+    powers = np.power(base, ks)
+    assert _bits(powers) == _bits(np.power(column, ks))
+    assert ((powers > 0.0) & (powers < np.finfo(float).tiny)).any(axis=-1)[:3].all()
+    for i, (r, _) in enumerate(draws):
+        assert _bits(powers[i]) == _bits(np.power(r, ks[i].copy()))
+        assert _bits(powers[i]) == _bits(np.power(np.full(k.size, r), ks[i].copy()))
 
 
 @pytest.mark.parametrize("order", [0.5, 1.5, 2.5, 3.5])
@@ -550,6 +575,7 @@ _EXTREME_TOL = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-13, 1e300, 1.7976931348623157e308, 0.0, math.inf]),
     st.floats(min_value=1e-15, max_value=1e-3),
 )
+_ZS = st.lists(st.one_of(_ANY_Z, st.floats(0.0, 1.0)), min_size=1, max_size=6)
 
 
 def _first_error(func, points):
@@ -566,9 +592,26 @@ def _first_error(func, points):
     return None
 
 
+def _assert_twin_finite_or_typed(scalar, twin, zs):
+    """twin(zs) raises the first ValueError of a loop of scalar over zs, or,
+    with every numpy warning an error, holds finite cells and nan exactly
+    under its mask."""
+    expected = _first_error(scalar, zs)
+    if expected is not None:
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            twin(np.array(zs))
+        return
+    with np.errstate(all="raise"):
+        out, mask = twin(np.array(zs))
+    columns = astuple(out)
+    if isinstance(out, fdseries.SeriesValue):
+        columns = columns[:2]  # terms_used counts terms: 0, not nan, under the mask
+    for column in columns:
+        assert np.isfinite(column[~mask]).all() and np.isnan(column[mask]).all()
+
+
 @settings(max_examples=150, deadline=None)
-@given(order=st.sampled_from([0.5, 1.5, 2.5, 0.3]), q=_EXTREME_Q, tol=_EXTREME_TOL,
-       zs=st.lists(st.one_of(_ANY_Z, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+@given(order=st.sampled_from([0.5, 1.5, 2.5, 0.3]), q=_EXTREME_Q, tol=_EXTREME_TOL, zs=_ZS)
 def test_h_is_finite_or_a_typed_error(order, q, tol, zs):
     zs = [z * q if math.isfinite(q) and 0.0 <= z <= 1.0 else z for z in zs]
     for z in zs:
@@ -577,14 +620,8 @@ def test_h_is_finite_or_a_typed_error(order, q, tol, zs):
         except ValueError:  # SeriesConvergenceError included
             continue
         assert math.isfinite(out.value) and 0.0 <= out.error_bound <= tol
-    expected = _first_error(lambda z: h_gen(order, z, q, tol), zs)
-    if expected is not None:
-        with pytest.raises(type(expected), match=re.escape(str(expected))):
-            h_gen_array(order, np.array(zs), q, tol)
-        return
-    with np.errstate(all="raise"):
-        out, mask = h_gen_array(order, np.array(zs), q, tol)
-    assert np.isfinite(out.value[~mask]).all() and np.isnan(out.value[mask]).all()
+    _assert_twin_finite_or_typed(lambda z: h_gen(order, z, q, tol),
+                                 lambda z: h_gen_array(order, z, q, tol), zs)
 
 
 _EXTREME_G = st.one_of(
@@ -594,8 +631,7 @@ _EXTREME_G = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(q=_EXTREME_Q, tol=_EXTREME_TOL, g_mult=_EXTREME_G,
-       zs=st.lists(st.one_of(_ANY_Z, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+@given(q=_EXTREME_Q, tol=_EXTREME_TOL, g_mult=_EXTREME_G, zs=_ZS)
 # 1 / ln q near -1e16: the entropy overflows before a bad z, and after one
 @example(q=1.0 - 2.0**-53, tol=1e300, g_mult=1e300, zs=[0.25, 0.5, -1.0])
 @example(q=1.0 - 2.0**-53, tol=1e300, g_mult=1e300, zs=[0.0, math.nan, 0.5])
@@ -607,12 +643,48 @@ def test_pvc_eos_is_finite_or_a_typed_error(q, tol, g_mult, zs):
         except ValueError:
             continue
         assert all(map(math.isfinite, astuple(state)))
-    expected = _first_error(lambda z: pvc_eos(q, z, g_mult, tol), zs)
-    if expected is not None:
-        with pytest.raises(type(expected), match=re.escape(str(expected))):
-            pvc_eos_array(q, np.array(zs), g_mult, tol)
-        return
-    with np.errstate(all="raise"):
-        state, skipped = pvc_eos_array(q, np.array(zs), g_mult, tol)
-    for column in astuple(state):
-        assert np.isfinite(column[~skipped]).all() and np.isnan(column[skipped]).all()
+    _assert_twin_finite_or_typed(lambda z: pvc_eos(q, z, g_mult, tol),
+                                 lambda z: pvc_eos_array(q, z, g_mult, tol), zs)
+
+
+# the f-family and the FN/CKN gas also take q >= 1
+_ANY_Q = st.one_of(
+    _EXTREME_Q,
+    st.sampled_from([0.0, 2.0, 1e300, 1.7976931348623157e308, math.inf, -math.inf]),
+    st.floats(min_value=1.0, max_value=1e308),
+)
+
+
+def _to_edge(zs, c):
+    """zs with each draw in [0, 1] read as y = c z, so that y reaches 1."""
+    return [z / c if math.isfinite(c) and c > 0.0 and 0.0 <= z <= 1.0 else z for z in zs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.sampled_from([0.5, 1.0, 1.5, 2.5, 0.3, 1e308, math.inf, math.nan]),
+       q=_ANY_Q, tol=_EXTREME_TOL, zs=_ZS)
+def test_f_is_finite_or_a_typed_error(order, q, tol, zs):
+    zs = _to_edge(zs, q)
+    for z in zs:
+        for call in (lambda: f_gen(order, q, z, tol), lambda: standard_fd(order, q * z, tol)):
+            try:
+                out = call()
+            except ValueError:  # SeriesConvergenceError included
+                continue
+            assert math.isfinite(out.value) and 0.0 <= out.error_bound <= tol
+    _assert_twin_finite_or_typed(lambda z: f_gen(order, q, z, tol),
+                                 lambda z: f_gen_array(order, q, z, tol), zs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ckn=st.booleans(), q=_ANY_Q, tol=_EXTREME_TOL, zs=_ZS)
+def test_fn_and_ckn_eos_are_finite_or_a_typed_error(ckn, q, tol, zs):
+    scalar, twin = (ckn_eos, ckn_eos_array) if ckn else (fn_eos, fn_eos_array)
+    zs = _to_edge(zs, 1.0 / q if ckn and q else q)
+    for z in zs:
+        try:
+            state = scalar(q, z, tol)
+        except ValueError:
+            continue
+        assert all(map(math.isfinite, astuple(state)))
+    _assert_twin_finite_or_typed(lambda z: scalar(q, z, tol), lambda z: twin(q, z, tol), zs)

@@ -615,9 +615,21 @@ class TestBuildState:
         assert vec[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_vpjc_q1_level2_not_normalizable(self):
-        ops = build_single_mode(Model.VPJC, 1.0, 4)
-        with pytest.raises(NonNormalizableStateError):
-            build_state(ops, 2)
+        # g_2 = 0 ends the ladder: [n]! = 0 for every n >= 2
+        ops = build_single_mode(Model.VPJC, 1.0, 8)
+        for n in (2, 3, 7):
+            with pytest.raises(NonNormalizableStateError, match=rf"state {n} has squared norm"):
+                build_state(ops, n)
+
+    @pytest.mark.parametrize("n", [44, 46, 59])
+    def test_underflowed_positive_factorial_is_unresolved(self, n):
+        # every level of this ladder is positive; [44]! is subnormal and
+        # [46]! underflows to 0, so only the double-precision norm is lost
+        ops = build_single_mode(Model.PVC, 1.0 - 2.0**-53, 60)
+        assert (spectrum(Model.PVC, 1.0 - 2.0**-53, n).values[1:] > 0.0).all()
+        with pytest.raises(ValueError, match="is not resolved in double precision") as info:
+            build_state(ops, n)
+        assert type(info.value) is ValueError
 
     def test_negative_norm_rejected(self):
         ops = build_single_mode(Model.VPJC, 2.0, 4)
