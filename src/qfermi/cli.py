@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration or I/O error.
 CSV files carry a header row, comma separators, 12-significant-digit
-values, one trailing newline per row.  Every output file is written via a
-unique temp file in its directory and an atomic rename, so partial files
-are never left behind.
+values, one trailing newline per row.  A table's empty cell is its nan, and
+is written empty; a table holds at most `_MAX_ROWS` rows.  Every output file
+is written via a unique temp file in its directory and an atomic rename, so
+partial files are never left behind.
 """
 
 from __future__ import annotations
@@ -25,16 +26,11 @@ from .spectra import spectrum
 
 _SINGULAR_OFFSET = 1e-9
 _BLOCK = 4096  # rows formatted per write
+_MAX_ROWS = 10_000_000  # rows of one table, checked before any array is made
 
 
 class ConfigError(Exception):
     """Invalid flags or configuration-file values."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".12g")
 
 
 @contextlib.contextmanager
@@ -57,25 +53,23 @@ def _atomic_output(path: str):
         raise
 
 
-def _write_csv(path: str, header, table: np.ndarray, holes: np.ndarray | None = None) -> None:
-    """CSV of the 2-D float `table` under `header`, with an empty cell where
-    `holes` is set.  A block of `_BLOCK` rows without a hole is one bulk
-    %-format of its floats; only a block with holes is formatted per cell by
-    `_fmt`.  '%.12g' and format(v, '.12g') give the same text for every
-    float, so the bytes do not depend on where the holes fall."""
+def _write_csv(path: str, header, table: np.ndarray) -> None:
+    """CSV of the 2-D float `table` under `header`, with a nan cell written
+    empty.  Each block of `_BLOCK` rows is one bulk %-format of its floats;
+    '%.12g' writes every nan, and no other float, as text holding "nan", so a
+    block with a nan has that text deleted."""
     line = ",".join(["%.12g"] * len(header)) + "\n"
     with _atomic_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, len(table), _BLOCK):
             block = table[start : start + _BLOCK]
-            empty = [] if holes is None else np.argwhere(holes[start : start + _BLOCK]).tolist()
-            if not empty:
-                handle.write(line * len(block) % tuple(block.ravel().tolist()))
-                continue
-            rows = block.tolist()
-            for r, c in empty:
-                rows[r][c] = None
-            handle.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+            text = line * len(block) % tuple(block.ravel().tolist())
+            handle.write(text.replace("nan", "") if np.isnan(block).any() else text)
+
+
+def _check_rows(rows: int) -> None:
+    if rows > _MAX_ROWS:
+        raise ConfigError(f"a table holds at most {_MAX_ROWS} rows, got {rows}")
 
 
 def _parse_q_list(text: str):
@@ -106,6 +100,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid must be start:stop:count, got {text!r}") from exc
     if count < 2:
         raise ConfigError(f"grid needs at least 2 points, got {count}")
+    _check_rows(count)
     if not start < stop:
         raise ConfigError(f"grid start must be below stop, got {text!r}")
     with np.errstate(all="ignore"):
@@ -163,16 +158,15 @@ def _write_distribution(path, model, q_list, grid, xi=0.0, abscissa="eta") -> No
     for s in singular:
         nudged[np.abs(nudged - s) < _SINGULAR_OFFSET] = s + _SINGULAR_OFFSET
     table = np.empty((nudged.size, len(header)))
-    holes = np.zeros(table.shape, dtype=bool)
     table[:, 0] = nudged
     eta = nudged - xi
     for k, column in enumerate(columns, 1):
         table[:, k], mask = column(eta)
         if mask is not None:
-            holes[:, k] = mask
-    _write_csv(path, header, table, holes)
+            table[mask, k] = np.nan
+    _write_csv(path, header, table)
     moved = int(np.count_nonzero(nudged != grid))
-    empty = int(np.count_nonzero(holes))
+    empty = int(np.count_nonzero(np.isnan(table)))
     if moved or empty:
         print(
             f"note: {model.value}: {moved} grid point(s) moved 1e-9 off a singular "
@@ -220,13 +214,12 @@ def _cmd_eos(args) -> int:
         table = np.column_stack(
             (grid, state.pressure, state.density, state.energy_density, state.entropy)
         )
-        holes = np.zeros(table.shape, dtype=bool)
-        holes[:, 1:] = skipped[:, None]
+        table[skipped, 1:] = np.nan
         path = out_base
         if len(q_list) > 1:
             stem, ext = os.path.splitext(out_base)
             path = f"{stem}_q{q:g}{ext or '.csv'}"
-        _write_csv(path, header, table, holes)
+        _write_csv(path, header, table)
         if skipped.any():
             print(
                 f"note: {model.value} q={q:g}: {np.count_nonzero(skipped)} rows outside "
@@ -291,6 +284,7 @@ def _cmd_spectrum(args) -> int:
     nmax = int(_resolve(args, "nmax", 20))
     if nmax < 1:
         raise ConfigError(f"nmax must be at least 1, got {nmax}")
+    _check_rows(nmax + 1)
     out = _resolve(args, "out", f"spectrum_{model.value}.csv")
     header = ["n"] + [f"g_q{q:g}" for q in q_list]
     levels = [np.arange(nmax + 1.0)] + [spectrum(model, q, nmax).values for q in q_list]

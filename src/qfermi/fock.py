@@ -62,15 +62,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .models import Model, NonNormalizableStateError, require_positive_q
+from .models import MAX_FN_MODES, Model, NonNormalizableStateError, require_positive_q
 from .spectra import spectrum
 
 _SINGLE_MODE = (Model.VPJC, Model.PVC, Model.CKN)
-
-# 2**12 basis states: the checks read (d, 2**d) index and amplitude arrays and
-# the covariance its (d, d, 2**d) mixed diagonal; only the on-demand dense
-# views grow as d 4**d
-MAX_FN_MODES = 12
+_UNITARY_TOL = 1e-12  # max |T T* - 1| that `covariance_check` accepts
 
 
 @dataclass(frozen=True)
@@ -457,7 +453,7 @@ def check_algebra(ops: OperatorSet) -> AlgebraReport:
 
 
 @np.errstate(all="ignore")  # an overflowed term reads as inf
-def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) -> float:
+def covariance_check(d: int, q: float, transform) -> float:
     """Residual of the FN relations after the mode mixing c'_i = sum_j T_ij c_j.
 
     `transform` must be a d x d unitary matrix (complex entries allowed here
@@ -470,7 +466,7 @@ def covariance_check(d: int, q: float, transform, unitary_tol: float = 1e-12) ->
     T = np.asarray(transform, dtype=complex)
     if T.shape != (d, d):
         raise ValueError(f"transform must be {d} x {d}, got shape {T.shape}")
-    if _maxabs(T @ T.conj().T - np.eye(d)) > unitary_tol:
+    if _maxabs(T @ T.conj().T - np.eye(d)) > _UNITARY_TOL:
         raise ValueError("transform is not unitary within tolerance")
 
     ops, layout = build_fn_multimode(d, q), _fn_layout(d)

@@ -33,31 +33,50 @@ def polyval(coeffs, x: float) -> float:
     return acc
 
 
-def pvc_jd_value(f, x: float, q: float) -> float:
-    """Pointwise PVC Jackson derivative of a callable at x != 0."""
-    require_positive_q(q)
+def _pointwise(value, x: float) -> float:
+    """`value(x)` of a pointwise derivative form, with its finite-or-typed rule."""
+    if not math.isfinite(x):
+        raise ValueError(f"the pointwise Jackson derivative needs a finite x, got {x}")
     if x == 0.0:
         raise SingularPointError("the pointwise Jackson derivative is singular at x = 0")
-    return (f(x / q) - f(-q * x)) / (x * (q + 1.0 / q))
+    with np.errstate(all="ignore"):  # a numpy scalar from f may overflow
+        result = value(x)
+    if not math.isfinite(result):
+        raise ValueError(f"the pointwise Jackson derivative at x = {x} is not finite: {result}")
+    return result
+
+
+def pvc_jd_value(f, x: float, q: float) -> float:
+    """Pointwise PVC Jackson derivative of a callable at a finite x != 0; a
+    result that is not finite raises ValueError."""
+    require_positive_q(q)
+    return _pointwise(lambda u: (f(u / q) - f(-q * u)) / (u * (q + 1.0 / q)), x)
 
 
 def vpjc_jd_value(f, x: float, q: float) -> float:
-    """Pointwise VPJC Jackson derivative of a callable at x != 0."""
+    """Pointwise VPJC Jackson derivative of a callable at a finite x != 0; a
+    result that is not finite raises ValueError."""
     require_positive_q(q)
-    if x == 0.0:
-        raise SingularPointError("the pointwise Jackson derivative is singular at x = 0")
-    return (f(x) - f(-q * x)) / (x * (1.0 + q))
+    return _pointwise(lambda u: (f(u) - f(-q * u)) / (u * (1.0 + q)), x)
 
 
 def jd_polynomial(model: Model, coeffs, q: float) -> np.ndarray:
-    """Termwise derivative sum a_n x**n -> sum a_n [n] x**(n-1), along the last axis."""
+    """Termwise derivative sum a_n x**n -> sum a_n [n] x**(n-1), along the last
+    axis; a coefficient that is not finite, or a term that overflows, raises
+    ValueError."""
     if model not in (Model.PVC, Model.VPJC):
         raise ValueError("polynomial Jackson derivative applies to PVC and VPJC")
     require_positive_q(q)
     a = np.asarray(coeffs, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("polynomial coefficients must be finite")
     if a.ndim == 0 or a.shape[-1] < 2:  # a constant maps to the zero constant
         return np.zeros((*a.shape[:-1], 1))
-    return a[..., 1:] * spectrum(model, q, a.shape[-1] - 1).values[1:]
+    with np.errstate(over="ignore"):
+        out = a[..., 1:] * spectrum(model, q, a.shape[-1] - 1).values[1:]
+    if not np.isfinite(out).all():
+        raise ValueError(f"{model.value} derivative at q = {q}: a coefficient overflows a double")
+    return out
 
 
 @np.errstate(all="ignore")  # an overflowed term reads as inf
@@ -95,16 +114,21 @@ def jd_operator_identity_residual(model: Model, q: float, polynomials) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
+@np.errstate(all="ignore")  # an overflowed term reads as inf
 def reflection_residual(coeffs, q: float, points) -> float:
     """Check (-q)**degree coefficient weighting against evaluation at -q x.
 
     Both sides are the polynomial sum a_n (-q)**n x**n; the residual is the
-    worst pointwise disagreement over the sample points.
+    worst pointwise disagreement over the sample points.  A coefficient or
+    sample point that is not finite raises ValueError; an overflow reads as
+    an infinite residual, without a numpy warning.
     """
     require_positive_q(q)
     a = np.asarray(coeffs, dtype=float)
+    xs = np.asarray(points, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(xs).all()):
+        raise ValueError("coefficients and sample points must be finite")
     weighted = a * (-q) ** np.arange(a.size, dtype=float)
-    worst = 0.0
-    for x in points:
-        worst = max(worst, abs(polyval(weighted, x) - polyval(a, -q * x)))
-    return worst
+    residuals = [abs(polyval(weighted, x) - polyval(a, -q * x)) for x in xs.tolist()]
+    worst = float(np.max(residuals, initial=0.0))
+    return math.inf if math.isnan(worst) else worst

@@ -5,6 +5,11 @@ from __future__ import annotations
 import enum
 import math
 
+# FN modes at most, for the Fock builds and the traces: 2**12 basis states.
+# The checks read (d, 2**d) index and amplitude arrays and the covariance its
+# (d, d, 2**d) mixed diagonal; only the on-demand dense views grow as d 4**d
+MAX_FN_MODES = 12
+
 
 class Model(enum.Enum):
     """The oscillator families handled by this package.

@@ -50,6 +50,7 @@ import numpy as np
 
 from .fdseries import f_gen, f_gen_array, h_gen, h_gen_array
 from .models import (
+    MAX_FN_MODES,
     Model,
     SeriesConvergenceError,
     SingularPointError,
@@ -244,7 +245,10 @@ def vpjc_zero_crossing(q: float) -> float:
 # occupation-ratio solver and exact traces
 
 
-def _bisect(func, lo: float, hi: float, iterations: int = 200) -> float:
+_BISECT_STEPS = 200  # halvings per bracket, at most
+
+
+def _bisect(func, lo: float, hi: float) -> float:
     f_lo = func(lo)
     f_hi = func(hi)
     if f_lo == 0.0:
@@ -253,7 +257,7 @@ def _bisect(func, lo: float, hi: float, iterations: int = 200) -> float:
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(iterations):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -267,7 +271,7 @@ def _bisect(func, lo: float, hi: float, iterations: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bisect_array(func, lo: np.ndarray, hi: np.ndarray, iterations: int = 200) -> np.ndarray:
+def _bisect_array(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """`_bisect` on every bracket [lo_i, hi_i] of the 1-D arrays at once, with
     its stop rules per bracket; func(x, rows) is the function of brackets
     `rows` at the points x."""
@@ -278,7 +282,7 @@ def _bisect_array(func, lo: np.ndarray, hi: np.ndarray, iterations: int = 200) -
     if (open_ & (f_lo * f_hi > 0.0)).any():
         raise ValueError("bisection bracket does not straddle a root")
     rows = np.flatnonzero(open_)
-    for _ in range(iterations):
+    for _ in range(_BISECT_STEPS):
         if not rows.size:
             break
         mid = 0.5 * (lo[rows] + hi[rows])
@@ -416,8 +420,8 @@ def _ladder(model: Model, q: float, top) -> tuple:
 
 def _fn_levels(q: float, d) -> tuple:
     """Trace levels 0..d of d FN modes by total occupation n."""
-    if not 1 <= d <= 12 or d != int(d):
-        raise ValueError(f"mode count must lie in 1..12, got {d!r}")
+    if not 1 <= d <= MAX_FN_MODES or d != int(d):
+        raise ValueError(f"mode count must lie in 1..{MAX_FN_MODES}, got {d!r}")
     d = int(d)
     deformed = spectrum(Model.FN, q, d).values  # raises where d q**(d-1) overflows
     shifted = np.array([(d - n) * q**n for n in range(d)] + [0.0])

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import qfermi
 from qfermi import Model, SingularPointError, cli, thermo, verify
-from qfermi.cli import _fmt, _write_csv, main
+from qfermi.cli import _write_csv, main
 from qfermi.thermo import (
     ckn_distribution,
     ckn_eos,
@@ -43,6 +44,12 @@ DISTRIBUTIONS = {Model.FN: fn_distribution, Model.CKN: ckn_distribution,
 MU = {Model.FN: (fn_mu_lowT, fn_mu_numeric), Model.CKN: (ckn_mu_lowT, ckn_mu_numeric)}
 EOS = {Model.FN: lambda q, z, g_mult, tol: fn_eos(q, z, tol),
        Model.CKN: lambda q, z, g_mult, tol: ckn_eos(q, z, tol), Model.PVC: pvc_eos}
+
+
+def _fmt(value) -> str:
+    """A CSV cell as the CLI writes it: empty for None or nan, otherwise the
+    float at 12 significant digits."""
+    return "" if value is None or math.isnan(value) else format(value, ".12g")
 
 
 def read_csv(path):
@@ -692,10 +699,10 @@ class TestArrayDist:
 
 
 class TestWriteCsv:
-    """`_write_csv` formats a block without holes in one bulk %-format and a
-    block with holes per cell; either way its bytes are the per-cell ones."""
+    """`_write_csv` writes a nan cell empty and every other float as
+    format(v, '.12g'), whichever block the cell falls in."""
 
-    SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e-310, 1e308, 1.0 / 3.0, -2.5e-17,
                 123456789012345.0]
 
@@ -705,7 +712,7 @@ class TestWriteCsv:
         return ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
-    # "edges": a hole on each side of every block boundary and on the last row
+    # "edges": a nan on each side of every block boundary and on the last row
     @pytest.mark.parametrize("hole", [None, 0, 4094, -1, "edges"])
     def test_blocks_equal_the_per_cell_format(self, tmp_path, count, hole):
         rng = np.random.default_rng(count)
@@ -714,18 +721,41 @@ class TestWriteCsv:
             np.resize(self.SPECIALS, count),
             rng.normal(size=count) * 10.0 ** (np.arange(count) % 40),
         ))
-        rows, holes = table.tolist(), None
         if hole is not None:
-            holes = np.zeros(table.shape, dtype=bool)
             at = [hole] if hole != "edges" else [n for n in range(count)
                                                  if n % 4096 in (0, 4095)] + [-1]
-            holes[at, 1] = True
-            holes[at[-1], 2] = True
-            for r, c in np.argwhere(holes).tolist():
-                rows[r][c] = None
+            table[at, 1] = np.nan
+            table[at[-1], 2] = np.nan
         out = tmp_path / "t.csv"
-        _write_csv(str(out), ["n", "a", "b"], table, holes)
-        assert out.read_bytes() == self.reference(["n", "a", "b"], rows)
+        _write_csv(str(out), ["n", "a", "b"], table)
+        assert out.read_bytes() == self.reference(["n", "a", "b"], table.tolist())
+
+
+class TestTableSize:
+    """A table of more than `cli._MAX_ROWS` rows is refused before any array
+    of its size is made."""
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [(["dist", "--grid", "0:1:10000001"], 10_000_001),
+         (["eos", "--grid", "0.1:0.2:10000001"], 10_000_001),
+         (["spectrum", "--nmax", "10000000"], 10_000_001)],
+        ids=["dist", "eos", "spectrum"],
+    )
+    def test_one_row_past_the_limit_is_exit_two(self, tmp_path, capsys, argv, rows):
+        out = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: a table holds at most 10000000 rows, got {rows}\n"
+        )
+        assert peak < 1 << 20
+        assert not out.exists()
 
 
 def scalar_table(header, rows_of):
@@ -875,8 +905,8 @@ class TestRejectedInput:
 
 
 # Flag values for the argv fuzz, by option dest; an option not named here gets
-# short random text.  Counts stay small or far past what can be allocated
-# (10**17 doubles, 10**31 elements), so no draw builds a large table.
+# short random text.  Counts stay small or far past the CLI's row limit
+# (10**17, 10**31), so no draw builds a large table.
 _NUMBERS = ["0", "-1", "0.5", "2", "1/3", "1e-300", "5e-324", "1e308", "1e400",
             "nan", "inf", "-inf", "", "x"]
 _COUNTS = ["-1", "0", "1", "2", "3", "9", "40", "2001", "100000000000000000", "1" + "0" * 31,

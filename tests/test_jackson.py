@@ -1,5 +1,6 @@
 """Jackson derivatives: pointwise forms, polynomial action, ladder identity."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -219,8 +220,9 @@ _COEFF = st.floats(min_value=-2.0, max_value=2.0)
 def test_stack_is_its_rows_bit_for_bit(model, q, stack):
     rows = [_raises_alike(jd_polynomial, model, row, q) for row in stack]
     out = _raises_alike(jd_polynomial, model, np.array(stack), q)
-    if isinstance(rows[0], str):
-        assert out == rows[0]
+    errors = [row for row in rows if isinstance(row, str)]
+    if errors:  # no error text names a row
+        assert out == errors[0]
         return
     assert out.shape == (len(stack), max(len(stack[0]) - 1, 1))
     assert out.tobytes() == np.array(rows).tobytes()
@@ -293,3 +295,75 @@ def test_pvc_weights_are_finite_wherever_the_spectrum_is(q):
         top -= 1
     weights = q ** -np.arange(top, dtype=float)
     assert np.isfinite(weights).all()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reflection_residual([np.nan, 1.0], 0.5, [1.0]),
+        lambda: reflection_residual([1.0, 2.0], 0.5, [np.nan]),
+        lambda: reflection_residual([1.0, np.inf], 0.5, [1.0]),
+        lambda: reflection_residual([1.0, 2.0], 0.5, [1.0, -np.inf]),
+        lambda: jd_polynomial(Model.PVC, [1.0, np.nan, 2.0], 0.5),
+        lambda: jd_polynomial(Model.VPJC, [[1.0, 2.0], [np.inf, 0.0]], 0.5),
+        lambda: pvc_jd_value(lambda u: u, np.nan, 0.5),
+        lambda: pvc_jd_value(lambda u: u, np.inf, 0.5),
+        lambda: vpjc_jd_value(lambda u: u, -np.inf, 0.5),
+        lambda: vpjc_jd_value(lambda u: u, np.nan, 0.5),
+    ],
+    ids=["reflection_coeff_nan", "reflection_point_nan", "reflection_coeff_inf",
+         "reflection_point_inf", "polynomial_nan", "polynomial_stack_inf", "pvc_x_nan",
+         "pvc_x_inf", "vpjc_x_minus_inf", "vpjc_x_nan"],
+)
+def test_input_that_is_not_finite_is_a_value_error(call):
+    # each once returned 0.0 (a pass), a nan, or warned on the way
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def test_overflowed_results():
+    # a residual reads inf; a derivative that leaves the doubles is an error
+    assert reflection_residual([1e308] * 5, 3.0, [1e300]) == np.inf
+    with pytest.raises(ValueError, match="pvc derivative at q = 0.3: a coefficient overflows"):
+        jd_polynomial(Model.PVC, [0.0, 1e308, 1e308], 0.3)
+    with pytest.raises(ValueError, match="at x = 1e-300 is not finite"):
+        pvc_jd_value(lambda u: math.copysign(1e300, u), 1e-300, 0.5)
+    with pytest.raises(ValueError, match=re.escape("at x = 1e+300 is not finite")):
+        vpjc_jd_value(lambda u: np.float64(u) ** 3, 1e300, 0.5)
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from([Model.PVC, Model.VPJC]),
+    q=st.one_of(_ANY_FLOAT, _Q),
+    coeffs=st.lists(st.one_of(_ANY_FLOAT, _COEFF), min_size=1, max_size=8),
+    x=st.one_of(_ANY_FLOAT, _COEFF),
+    points=st.lists(st.one_of(_ANY_FLOAT, _COEFF), max_size=4),
+)
+@example(model=Model.PVC, q=0.5, coeffs=[1.0, np.nan, 2.0], x=np.nan, points=[1.0])
+@example(model=Model.VPJC, q=3.0, coeffs=[1e308] * 5, x=1e300, points=[1e300])
+def test_every_result_is_finite_or_a_typed_error(model, q, coeffs, x, points):
+    # finite, inf for a residual only, or a ValueError; never nan, and no
+    # numpy warning (pytest makes a RuntimeWarning an error)
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError:  # SingularPointError included
+            return None
+
+    def f(u):
+        return polyval(coeffs, u)
+
+    for value in (outcome(pvc_jd_value, f, x, q), outcome(vpjc_jd_value, f, x, q)):
+        assert value is None or math.isfinite(value)
+    derived = outcome(jd_polynomial, model, coeffs, q)
+    assert derived is None or np.isfinite(derived).all()
+    for residual in (outcome(jd_operator_identity_residual, model, q, [coeffs]),
+                     outcome(reflection_residual, coeffs, q, points)):
+        assert residual is None or residual >= 0.0

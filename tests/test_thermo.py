@@ -930,6 +930,28 @@ def test_every_result_is_finite_or_a_typed_error(name, q, etas):
             assert_value(value)
 
 
+_KERNELS = {
+    f"{model.value}_{name}": getattr(MODELS[model], name)
+    for model in MODELS
+    for name in ("distribution_array", "q1_limit_array")
+    if getattr(MODELS[model], name) is not None
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@settings(max_examples=200, deadline=None)
+@given(q=_LOG_Q, etas=_ANY_ETAS)
+def test_kernel_cell_is_nan_exactly_under_its_mask(name, q, etas):
+    # the CLI writes a nan cell empty, so a kernel's nan must be its mask
+    kernel = _KERNELS[name]
+    try:
+        values, mask = kernel(np.array(etas)) if "q1" in name else kernel(np.array(etas), q)
+    except ValueError:
+        return
+    mask = np.zeros(len(etas), dtype=bool) if mask is None else mask
+    assert np.isnan(values).tolist() == mask.tolist()
+
+
 @pytest.mark.parametrize("model", [Model.FN, Model.CKN, Model.PVC, Model.VPJC])
 @settings(max_examples=200, deadline=None)
 @given(q=_LOG_Q, etas=_ANY_ETAS, d=st.integers(1, 12), n_max=st.integers(0, 12))
